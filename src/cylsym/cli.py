@@ -13,6 +13,7 @@ import sys
 from . import fusion as fu
 from . import grassmannian as gr
 from .cylindric import (
+    antipode_check,
     cyl_e,
     cyl_h,
     coproduct_cyl_check,
@@ -40,8 +41,11 @@ def _partition_arg(text: str):
 
 def _write(text: str, path: str | None):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -80,7 +84,10 @@ def cmd_fusion(args) -> int:
 
 
 def cmd_gw(args) -> int:
-    ctx = gr.grass_context(args.n, args.k)
+    try:
+        ctx = gr.grass_context(args.n, args.k)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     table = gr.gw_table(ctx, args.dmax)
     if args.format == "csv":
         _write(table.to_csv(), args.out)
@@ -175,8 +182,6 @@ def _suite_route_equivalence(n: int, k: int) -> fu.Report:
 def _suite_coalgebra(n: int, k: int) -> fu.Report:
     rep = fu.Report(f"coalgebra (n={n}, k={k})")
     alcove = enumerate_alcove(n, k)
-    from .cylindric import antipode_check
-
     for lam in alcove:
         for mu in alcove:
             rep.run(antipode_check(lam, 1, mu), f"antipode at {lam.parts}/1/{mu.parts}")

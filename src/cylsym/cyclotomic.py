@@ -298,7 +298,8 @@ def sqrt_int(m: int, n_field: int) -> CycloNum:
         if e % 2:
             root = root * _sqrt_prime(p, n_field)
     result = root * sq
-    assert (result * result).to_integer() == m
+    if (result * result).to_integer() != m:
+        raise ValueError(f"square root of {m} squares to the wrong value")
     return result
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .affine import CylindricShape, is_valid_shape, is_vertical_strip, loop_value
 from .fusion import fusion_count
@@ -20,6 +19,7 @@ from .partitions import (
     AlcoveWeight,
     Partition,
     Weight,
+    _comb0,
     conjugate,
     distinct_permutations,
     enumerate_alcove,
@@ -29,16 +29,11 @@ from .partitions import (
     reduce_to_alcove,
     size,
     stab_order,
+    transfer,
+    transfer_expansion,
     z_factor,
 )
-from .symfunc import SymFunc, antipode
-
-
-def _comb0(a: int, b: int) -> int:
-    """Binomial that vanishes on negative arguments."""
-    if a < 0 or b < 0:
-        return 0
-    return comb(a, b)
+from .symfunc import SymFunc, TensorSymFunc, antipode, coproduct, tensor
 
 
 def _conj_padded(parts: Partition, n: int) -> tuple[int, ...]:
@@ -139,8 +134,6 @@ def psi_cyl_oracle(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
 
 def _loop_window(lam: AlcoveWeight, d: int) -> Weight:
     """(lam . tau^d) restricted to [k]."""
-    from .affine import loop_value
-
     return tuple(loop_value(lam, d, i) for i in range(1, lam.k + 1))
 
 
@@ -209,7 +202,7 @@ def phi_cyl_oracle(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generic layered transfer
+# weighted CRPP counts through the layered transfer engine
 
 
 @lru_cache(maxsize=None)
@@ -231,78 +224,28 @@ def _successors(mu: AlcoveWeight, r: int, kind: str) -> tuple:
     return tuple(out)
 
 
-def _apply_layer(vec: dict, r: int, kind: str, dmax: int) -> dict:
-    out: dict = {}
-    for (w1, e1), c in vec.items():
-        for w2, de, coef in _successors(w1, r, kind):
-            e2 = e1 + de
-            if e2 > dmax:
-                continue
-            key = (w2, e2)
-            out[key] = out.get(key, 0) + c * coef
-    return out
-
-
-def _transfer_value(
-    lam: AlcoveWeight, d: int, mu: AlcoveWeight, weight, kind: str
-) -> int:
-    vec = {(mu, 0): 1}
-    for r in weight:
-        if r < 0:
-            raise ValueError("weights must be non-negative")
-        if r == 0:
-            continue
-        vec = _apply_layer(vec, r, kind, d)
-        if not vec:
-            return 0
-    return vec.get((lam, d), 0)
+def _weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu, kind: str) -> int:
+    lam.same_context(mu)
+    return transfer(mu, lam, d, nu, lambda w, r: _successors(w, r, kind))
 
 
 def theta_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
     """Weighted count of CRPPs of shape lam/d/mu and weight nu."""
-    lam.same_context(mu)
-    if d < 0 or sum(nu) != lam.size - mu.size + lam.n * d:
-        return 0
-    return _transfer_value(lam, d, mu, tuple(nu), "theta")
+    return _weight(lam, d, mu, nu, "theta")
 
 
 def psi_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
-    lam.same_context(mu)
-    if d < 0 or sum(nu) != lam.size - mu.size + lam.n * d:
-        return 0
-    return _transfer_value(lam, d, mu, tuple(nu), "psi")
+    return _weight(lam, d, mu, nu, "psi")
 
 
 def phi_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
-    lam.same_context(mu)
-    if d < 0 or sum(nu) != lam.size - mu.size + lam.n * d:
-        return 0
-    return _transfer_value(lam, d, mu, tuple(nu), "phi")
+    return _weight(lam, d, mu, nu, "phi")
 
 
 def _weight_expansion(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str) -> dict:
-    """Coefficients {partition nu: weighted CRPP count}, sharing partition prefixes."""
-    n = lam.n
-    deg = lam.size - mu.size + n * d
-    if d < 0 or deg < 0:
-        return {}
-    if deg == 0:
-        return {(): 1} if (d == 0 and lam == mu) else {}
-    out: dict[Partition, int] = {}
-
-    def rec(prefix: tuple, vec: dict, remaining: int, max_part: int):
-        if remaining == 0:
-            c = vec.get((lam, d), 0)
-            if c:
-                out[prefix] = c
-            return
-        for r in range(min(max_part, remaining), 0, -1):
-            nxt = _apply_layer(vec, r, kind, d)
-            if nxt:
-                rec(prefix + (r,), nxt, remaining - r, r)
-
-    rec((), {(mu, 0): 1}, deg, deg)
-    return out
+    """Coefficients {partition nu: weighted CRPP count}."""
+    deg = lam.size - mu.size + lam.n * d
+    return transfer_expansion(mu, lam, d, deg, lambda w, r: _successors(w, r, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +315,8 @@ def nonskew_cyl_h(lam: AlcoveWeight, d: int) -> SymFunc:
         rep, _ = reduce_to_alcove(padded, n, k)
         if rep == lam:
             num, rem = divmod(s_lam, stab_order(padded))
-            assert rem == 0, "orbit coefficient must be an integer"
+            if rem:
+                raise ValueError(f"orbit coefficient at {nu} is not an integer")
             out[nu] = Fraction(num)
     return SymFunc.make("h", out)
 
@@ -463,8 +407,6 @@ class Crpp:
     def render(self) -> str:
         """Fundamental-strip picture, rows 1..k top to bottom."""
         k = self.inner.k
-        from .affine import loop_value
-
         inner_at = [loop_value(self.inner, 0, i) for i in range(1, k + 1)]
         outer_at = [
             loop_value(self.outer, self.degree, i) for i in range(1, k + 1)
@@ -572,10 +514,6 @@ def _engine_kind(kind: str) -> str:
     }[kind]
 
 
-def vee_involution(crpp: Crpp) -> Crpp:
-    return crpp.vee()
-
-
 # ---------------------------------------------------------------------------
 # coproduct identity
 
@@ -584,8 +522,6 @@ def coproduct_cyl_check(
     lam: AlcoveWeight, d: int, mu: AlcoveWeight, degree_bound: int | None = None, kind: str = "h"
 ) -> bool:
     """Check Delta(f_{lam/d/mu}) = sum over d1+d2=d, nu of f_{lam/d1/nu} (x) f_{nu/d2/mu}."""
-    from .symfunc import TensorSymFunc, coproduct, tensor
-
     fn = cyl_h if kind == "h" else cyl_e
     lhs = coproduct(fn(lam, d, mu), bases=("m", "m"))
     rhs: dict = {}

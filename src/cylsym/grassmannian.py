@@ -18,6 +18,7 @@ from .partitions import (
     AlcoveWeight,
     BoxedPartition,
     Partition,
+    beta_numbers,
     boxed_from_strict,
     conjugate,
     enumerate_boxed,
@@ -25,9 +26,12 @@ from .partitions import (
     length,
     n_core,
     normalize,
+    partition_from_betas,
     partitions_of,
     size,
     staircase,
+    transfer,
+    transfer_expansion,
     z_factor,
 )
 from .symfunc import SymFunc, hall_inner, mn_character, multiply, sym
@@ -148,7 +152,8 @@ def gw_ribbon(ctx: GrassContext, lam, mu, nu, d: int) -> int:
         if c:
             sign = -1 if (k * d - parity) % 2 else 1
             total += c * sign
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ValueError(f"non-integral ribbon-route value at {lam.parts},{mu.parts},{nu.parts},{d}")
     value = total.numerator
     if value < 0:
         raise ValueError(f"negative ribbon-route value at {lam.parts},{mu.parts},{nu.parts},{d}")
@@ -256,52 +261,16 @@ def quantum_kostka(ctx: GrassContext, lam, d: int, mu, alpha, row_strict: bool =
     bound = ctx.k if row_strict else ctx.n - ctx.k
     if any(a > bound or a < 0 for a in alpha):
         raise ValueError(f"weight entries must lie in [0, {bound}]")
-    if sum(alpha) != lam.size - mu.size + ctx.n * d or d < 0:
-        return 0
-    vec = {(mu, 0): 1}
-    for r in alpha:
-        if r == 0:
-            continue
-        nxt: dict = {}
-        for (w1, e1), c in vec.items():
-            for w2, de, _ in _strip_successors(w1, r, row_strict):
-                if e1 + de <= d:
-                    key = (w2, e1 + de)
-                    nxt[key] = nxt.get(key, 0) + c
-        vec = nxt
-        if not vec:
-            return 0
-    return vec.get((lam, d), 0)
+    return transfer(mu, lam, d, alpha, lambda w, r: _strip_successors(w, r, row_strict))
 
 
 def _kostka_expansion(ctx: GrassContext, lam: BoxedPartition, d: int, mu: BoxedPartition, row_strict: bool) -> dict:
-    """{partition: count} over all weights, sharing descending prefixes."""
+    """{partition: count} over all weights with entries inside the strip bound."""
     deg = lam.size - mu.size + ctx.n * d
-    if d < 0 or deg < 0:
-        return {}
-    if deg == 0:
-        return {(): 1} if (d == 0 and lam == mu) else {}
     bound = ctx.k if row_strict else ctx.n - ctx.k
-    out: dict[Partition, int] = {}
-
-    def rec(prefix, vec, remaining, max_part):
-        if remaining == 0:
-            c = vec.get((lam, d), 0)
-            if c:
-                out[prefix] = c
-            return
-        for r in range(min(max_part, remaining, bound), 0, -1):
-            nxt: dict = {}
-            for (w1, e1), cc in vec.items():
-                for w2, de, _ in _strip_successors(w1, r, row_strict):
-                    if e1 + de <= d:
-                        key = (w2, e1 + de)
-                        nxt[key] = nxt.get(key, 0) + cc
-            if nxt:
-                rec(prefix + (r,), nxt, remaining - r, r)
-
-    rec((), {(mu, 0): 1}, deg, deg)
-    return out
+    return transfer_expansion(
+        mu, lam, d, deg, lambda w, r: _strip_successors(w, r, row_strict), max_part=bound
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,54 +334,17 @@ def ribbon_data(ctx: GrassContext, lam, d: int, mu) -> tuple[int, int] | None:
 def chi_weight(ctx: GrassContext, lam, d: int, mu, nu) -> int:
     """Signed count of cylindric ribbon plane partitions of shape lam/d/mu, weight nu."""
     lam, mu = _as_boxed(ctx, lam), _as_boxed(ctx, mu)
-    nu = tuple(nu)
-    if d < 0 or sum(nu) != lam.size - mu.size + ctx.n * d:
-        return 0
-    vec = {(mu, 0): 1}
-    for r in nu:
-        if r == 0:
-            continue
-        nxt: dict = {}
-        for (w1, e1), c in vec.items():
-            for w2, de, sign in _ribbon_successors(w1, r):
-                if e1 + de <= d:
-                    key = (w2, e1 + de)
-                    nxt[key] = nxt.get(key, 0) + c * sign
-        vec = nxt
-        if not vec:
-            return 0
-    raw = vec.get((lam, d), 0)
+    raw = transfer(mu, lam, d, nu, _ribbon_successors)
     return -raw if (d * (ctx.k - 1)) % 2 else raw
 
 
 def _chi_expansion(ctx: GrassContext, lam: BoxedPartition, d: int, mu: BoxedPartition) -> dict:
     """{partition: signed ribbon count} over all weights of the right size."""
     deg = lam.size - mu.size + ctx.n * d
-    if d < 0 or deg < 0:
-        return {}
-    if deg == 0:
-        return {(): 1} if (d == 0 and lam == mu) else {}
-    out: dict[Partition, int] = {}
-    flip = (d * (ctx.k - 1)) % 2
-
-    def rec(prefix, vec, remaining, max_part):
-        if remaining == 0:
-            c = vec.get((lam, d), 0)
-            if c:
-                out[prefix] = -c if flip else c
-            return
-        for r in range(min(max_part, remaining), 0, -1):
-            nxt: dict = {}
-            for (w1, e1), cc in vec.items():
-                for w2, de, sign in _ribbon_successors(w1, r):
-                    if e1 + de <= d:
-                        key = (w2, e1 + de)
-                        nxt[key] = nxt.get(key, 0) + cc * sign
-            if nxt:
-                rec(prefix + (r,), nxt, remaining - r, r)
-
-    rec((), {(mu, 0): 1}, deg, deg)
-    return out
+    table = transfer_expansion(mu, lam, d, deg, _ribbon_successors)
+    if (d * (ctx.k - 1)) % 2:
+        return {nu: -c for nu, c in table.items()}
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +431,6 @@ def core_fiber(ctx: GrassContext, lam, d: int) -> list[Partition]:
 def _core_quotient_fiber(core: Partition, n: int, weight: int) -> list[Partition]:
     """All partitions with the given n-core and n-weight, via the quotient bijection."""
     slots = len(core) + n * weight + n
-    from .partitions import beta_numbers, partition_from_betas
-
     base = beta_numbers(core, slots)
     runners: dict[int, list[int]] = {r: [] for r in range(n)}
     for b in base:

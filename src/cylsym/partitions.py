@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 Partition = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -83,7 +83,8 @@ def quantum_dim(lam: Weight, k: int) -> int:
     if len(lam) != k:
         raise ValueError(f"weight {lam} does not have rank {k}")
     d, rem = divmod(factorial(k), stab_order(lam))
-    assert rem == 0
+    if rem:
+        raise ValueError(f"k! is not divisible by the stabiliser order of {lam}")
     return d
 
 
@@ -101,7 +102,8 @@ def standard_tableaux_count(lam: Partition) -> int:
     """Number of standard Young tableaux, by the hook length formula."""
     lam = normalize(lam)
     f, rem = divmod(factorial(size(lam)), prod(hooks(lam)) if lam else 1)
-    assert rem == 0
+    if rem:
+        raise ValueError(f"hook length formula gives a non-integer at {lam}")
     return f
 
 
@@ -126,6 +128,72 @@ def partitions_of(m: int, max_part: int | None = None, max_len: int | None = Non
         yield ()
     else:
         yield from rec(m, first, [])
+
+
+def _comb0(a: int, b: int) -> int:
+    """Binomial that vanishes whenever an argument is negative."""
+    if a < 0 or b < 0:
+        return 0
+    return comb(a, b)
+
+
+# ---------------------------------------------------------------------------
+# layered transfer over (state, winding) pairs
+#
+# A chain of states (loops on the cylinder, boxed partitions, flat partitions)
+# is grown one layer at a time; successors(state, r) yields every
+# (state', extra_winding, coeff) for a layer of r boxes.  A vector maps
+# (state, winding) to the summed coefficient of all chains ending there.
+
+
+def _layer(vec: dict, r: int, dmax: int, successors) -> dict:
+    out: dict = {}
+    for (w1, e1), c in vec.items():
+        for w2, de, coeff in successors(w1, r):
+            e2 = e1 + de
+            if e2 <= dmax:
+                key = (w2, e2)
+                out[key] = out.get(key, 0) + c * coeff
+    return out
+
+
+def transfer(start, end, dmax: int, weight, successors) -> int:
+    """Summed coefficient of all chains start -> end of winding dmax whose
+    layers add weight[0], weight[1], ... boxes; zero layers are skipped."""
+    weight = tuple(weight)
+    if any(r < 0 for r in weight):
+        raise ValueError(f"weight entries must be non-negative: {weight}")
+    vec = {(start, 0): 1}
+    for r in weight:
+        if r:
+            vec = _layer(vec, r, dmax, successors)
+            if not vec:
+                return 0
+    return vec.get((end, dmax), 0)
+
+
+def transfer_expansion(start, end, dmax: int, deg: int, successors, max_part: int | None = None) -> dict:
+    """{nu: transfer(start, end, dmax, nu, successors)} over the partitions nu
+    of deg with parts at most max_part, nonzero values only.
+
+    Partitions are visited in descending order, so each layer vector is
+    computed once for every prefix it shares.
+    """
+    out: dict[Partition, int] = {}
+
+    def rec(prefix: Partition, vec: dict, remaining: int, biggest: int):
+        if remaining == 0:
+            c = vec.get((end, dmax), 0)
+            if c:
+                out[prefix] = c
+            return
+        for r in range(min(biggest, remaining), 0, -1):
+            nxt = _layer(vec, r, dmax, successors)
+            if nxt:
+                rec(prefix + (r,), nxt, remaining - r, r)
+
+    rec((), {(start, 0): 1}, deg, deg if max_part is None else max_part)
+    return out
 
 
 def distinct_permutations(mu: Weight):
@@ -384,5 +452,6 @@ def reduce_to_alcove(nu: Weight, n: int, k: int) -> tuple[AlcoveWeight, int]:
     shifted = tuple((v - 1) % n + 1 for v in nu)
     lam = AlcoveWeight(tuple(sorted(shifted, reverse=True)), n, k)
     d, rem = divmod(sum(nu) - lam.size, n)
-    assert rem == 0
+    if rem:
+        raise ValueError(f"level-{n} reduction of {nu} changed the size by a non-multiple of n")
     return lam, d

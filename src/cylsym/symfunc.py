@@ -12,15 +12,19 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .partitions import (
     Partition,
+    _comb0,
     conjugate,
     length,
     multiplicity,
     normalize,
     partitions_of,
     size,
+    transfer,
+    transfer_expansion,
     z_factor,
 )
 
@@ -90,7 +94,8 @@ class SymFunc:
         return self.to("p").coeffs == other.to("p").coeffs
 
     def __hash__(self):
-        return hash((self.basis, self.coeffs))
+        # equality compares p-expansions across bases, so hashing must too
+        return hash(self.to("p").coeffs)
 
     def to(self, basis: str) -> "SymFunc":
         return convert(self, basis)
@@ -115,10 +120,6 @@ class SymFunc:
 def sym(basis: str, lam) -> SymFunc:
     """Basis element, e.g. sym('h', (2,1))."""
     return SymFunc.make(basis, {normalize(lam): Fraction(1)})
-
-
-def sym_one() -> SymFunc:
-    return sym("p", ())
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +175,17 @@ def _basis_elem_to_p(basis: str, lam: Partition) -> tuple:
             acc = _pmul(acc, dict(table(part)))
         return tuple(sorted(acc.items()))
     if basis == "m":
-        return tuple(sorted(_m_to_p(lam).items()))
+        return tuple(sorted(_m_to_p_solved(size(lam))[lam].items()))
     raise ValueError(basis)
-
-
-def _m_to_p(lam: Partition) -> Coeffs:
-    """Solve for m_lam against the triangular p -> m transition at its degree."""
-    deg = size(lam)
-    order = _dominance_order(deg)
-    rows = {rho: p_to_m_row(rho) for rho in order}
-    # back substitution: p_rho = sum_mu R[rho][mu] m_mu, R triangular wrt the
-    # order with nonzero diagonal, so m_lam = (p_lam - sum_{mu > lam} ...) / R[lam][lam]
-    return _m_to_p_solved(deg)[lam]
 
 
 @lru_cache(maxsize=None)
 def _m_to_p_solved(deg: int) -> dict[Partition, Coeffs]:
+    """Solve for every m_lam of degree deg against the triangular p -> m transition.
+
+    Back substitution: p_rho = sum_mu R[rho][mu] m_mu with R triangular wrt the
+    order and a nonzero diagonal, so m_lam = (p_lam - sum_{mu > lam} ...) / R[lam][lam].
+    """
     order = _dominance_order(deg)
     rows = {rho: p_to_m_row(rho) for rho in order}
     solved: dict[Partition, Coeffs] = {}
@@ -329,18 +325,6 @@ def antipode(f: SymFunc) -> SymFunc:
     return convert(SymFunc.make("p", out), f.basis)
 
 
-def project_nvars(f: SymFunc, k: int) -> SymFunc:
-    """Set the variables beyond the first k to zero.
-
-    In the m and s bases this kills the terms with more than k rows.
-    """
-    basis = f.basis if f.basis in ("m", "s") else "m"
-    g = convert(f, basis)
-    return SymFunc.make(
-        basis, {lam: c for lam, c in g.coeffs if length(lam) <= k}
-    )
-
-
 # ---------------------------------------------------------------------------
 # tensor square, coproduct
 
@@ -387,7 +371,7 @@ class TensorSymFunc:
         return self.to(("p", "p")).coeffs == other.to(("p", "p")).coeffs
 
     def __hash__(self):
-        return hash((self.bases, self.coeffs))
+        return hash(self.to(("p", "p")).coeffs)
 
 
 def tensor(f: SymFunc, g: SymFunc) -> TensorSymFunc:
@@ -408,8 +392,6 @@ def _p_splits(rho: Partition) -> tuple:
         new = []
         for left, right, mult in splits:
             for take in range(m + 1):
-                from math import comb
-
                 new.append(
                     (
                         left + (v,) * take,
@@ -476,15 +458,6 @@ def sign_character(mu: Partition) -> int:
 # skew complete/elementary functions and their binomial weights
 
 
-def _comb0(a: int, b: int) -> int:
-    """Binomial that vanishes whenever an argument is negative."""
-    if a < 0 or b < 0:
-        return 0
-    from math import comb
-
-    return comb(a, b)
-
-
 def theta_flat(lam: Partition, mu: Partition) -> int:
     """Number of distinct rearrangements of mu fitting under lam, in closed form."""
     lam, mu = normalize(lam), normalize(mu)
@@ -532,30 +505,29 @@ def act_phi_flat(lam: Partition, mu: Partition) -> int:
     return 0
 
 
-def _skew_layers(lam: Partition, mu: Partition, weight, step_fn):
-    """Sum of products of step weights over partition chains mu -> lam.
+def _skew_successors(lam: Partition, step_fn):
+    """Layer successors for partition chains inside lam; step_fn(bigger, smaller)
+    gives the layer factor."""
 
-    weight is a composition; step_fn(bigger, smaller) gives the layer factor.
-    """
+    def successors(sig: Partition, r: int):
+        for tau in partitions_of(size(sig) + r, max_len=len(lam) or 1):
+            if _contains(tau, sig) and _contains(lam, tau):
+                w = step_fn(tau, sig)
+                if w:
+                    yield tau, 0, w
+
+    return successors
+
+
+def _skew_weight(lam, mu, nu, step_fn) -> int:
     lam, mu = normalize(lam), normalize(mu)
-    if size(mu) + sum(weight) != size(lam):
-        return 0
-    states = {mu: 1}
-    for r in weight:
-        nxt: dict[Partition, int] = {}
-        for sig, c in states.items():
-            for tau in partitions_of(size(sig) + r, max_len=len(lam) or 1):
-                if all(
-                    (tau[i] if i < len(tau) else 0) >= (sig[i] if i < len(sig) else 0)
-                    for i in range(len(tau))
-                ) and _contains(lam, tau):
-                    w = step_fn(tau, sig)
-                    if w:
-                        nxt[tau] = nxt.get(tau, 0) + c * w
-        states = nxt
-        if not states:
-            return 0
-    return states.get(lam, 0)
+    return transfer(mu, lam, 0, nu, _skew_successors(lam, step_fn))
+
+
+def _skew_expansion(lam, mu, step_fn) -> SymFunc:
+    lam, mu = normalize(lam), normalize(mu)
+    table = transfer_expansion(mu, lam, 0, size(lam) - size(mu), _skew_successors(lam, step_fn))
+    return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
 
 
 def _contains(outer: Partition, inner: Partition) -> bool:
@@ -566,43 +538,25 @@ def _contains(outer: Partition, inner: Partition) -> bool:
 
 def theta_weight_flat(lam, mu, nu) -> int:
     """Weighted count of RPP of shape lam/mu and weight nu."""
-    return _skew_layers(lam, mu, tuple(nu), theta_flat)
+    return _skew_weight(lam, mu, nu, theta_flat)
 
 
 def psi_weight_flat(lam, mu, nu) -> int:
-    return _skew_layers(lam, mu, tuple(nu), psi_flat)
+    return _skew_weight(lam, mu, nu, psi_flat)
 
 
 def adjacent_column_weight(lam, mu, nu) -> int:
     """Weighted sum over adjacent column tableaux of shape lam/mu, weight nu."""
-    return _skew_layers(lam, mu, tuple(nu), act_phi_flat)
+    return _skew_weight(lam, mu, nu, act_phi_flat)
 
 
 def skew_h(lam: Partition, mu: Partition) -> SymFunc:
     """Skew complete symmetric function, in the monomial basis."""
-    lam, mu = normalize(lam), normalize(mu)
-    deg = size(lam) - size(mu)
-    if deg < 0:
-        return SymFunc.make("m", {})
-    out: Coeffs = {}
-    for nu in partitions_of(deg):
-        w = theta_weight_flat(lam, mu, nu)
-        if w:
-            out[nu] = Fraction(w)
-    return SymFunc.make("m", out)
+    return _skew_expansion(lam, mu, theta_flat)
 
 
 def skew_e(lam: Partition, mu: Partition) -> SymFunc:
-    lam, mu = normalize(lam), normalize(mu)
-    deg = size(lam) - size(mu)
-    if deg < 0:
-        return SymFunc.make("m", {})
-    out: Coeffs = {}
-    for nu in partitions_of(deg):
-        w = psi_weight_flat(lam, mu, nu)
-        if w:
-            out[nu] = Fraction(w)
-    return SymFunc.make("m", out)
+    return _skew_expansion(lam, mu, psi_flat)
 
 
 # ---------------------------------------------------------------------------

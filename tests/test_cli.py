@@ -123,3 +123,18 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     data = json.loads(target.read_text())
     assert len(data["entries"]) == 8
+
+
+def test_gw_bad_context_exit_2(capsys):
+    code, out, err = run(capsys, "gw", "--n", "4", "--k", "4", "--dmax", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.json"
+    code, _, err = run(
+        capsys, "fusion", "--n", "2", "--k", "1", "--format", "json", "--out", str(target)
+    )
+    assert code == 2
+    assert err.startswith("error:")

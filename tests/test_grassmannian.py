@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cylsym
 from cylsym.fusion import CoeffTable
 from cylsym.grassmannian import (
     chi_matrix_check,
@@ -354,3 +357,25 @@ def test_gw_table_schema():
         assert set(e) == {"lambda", "mu", "nu", "d", "C"}
     back = CoeffTable.from_json(table.to_json(), value_key="C")
     assert back.entries == table.entries
+
+
+def test_ribbon_integrality_check_survives_optimize():
+    # a non-integral Schur coefficient must raise even when asserts are stripped
+    code = (
+        "from fractions import Fraction\n"
+        "from cylsym import grassmannian as gr\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "gr._schur_coefficient = lambda f, sigma: Fraction(1, 2)\n"
+        "try:\n"
+        "    gr.gw_ribbon(gr.grass_context(4, 2), (1,), (1,), (2,), 0)\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('gw_ribbon returned a value')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cylsym.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+from hypothesis import given, settings, strategies as st
+
 from cylsym.partitions import (
     distinct_permutations,
     partitions_of,
@@ -11,6 +13,7 @@ from cylsym.partitions import (
 )
 from cylsym.symfunc import (
     SymFunc,
+    TensorSymFunc,
     act_phi_flat,
     adjacent_column_weight,
     antipode,
@@ -435,3 +438,39 @@ def test_symfunc_json_roundtrip():
     assert data["basis"] == "m"
     assert all(set(t) == {"partition", "num", "den"} for t in data["terms"])
     assert SymFunc.from_json(text) == f
+
+
+# -- hashing ------------------------------------------------------------------
+SMALL_PARTITIONS = [lam for m in range(4) for lam in partitions_of(m)]
+small_coeffs = st.dictionaries(
+    st.sampled_from(SMALL_PARTITIONS),
+    st.fractions(max_denominator=4).filter(lambda c: abs(c.numerator) < 20),
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BASES), st.sampled_from(BASES), small_coeffs)
+def test_equal_symfuncs_hash_equal(b1, b2, coeffs):
+    f = SymFunc.make(b1, coeffs)
+    g = convert(f, b2)
+    assert f == g
+    assert hash(f) == hash(g)
+    assert len({f, g}) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.sampled_from(BASES), st.sampled_from(BASES)),
+    st.tuples(st.sampled_from(BASES), st.sampled_from(BASES)),
+    st.dictionaries(
+        st.tuples(st.sampled_from(SMALL_PARTITIONS), st.sampled_from(SMALL_PARTITIONS)),
+        st.integers(-5, 5),
+        max_size=3,
+    ),
+)
+def test_equal_tensors_hash_equal(bases1, bases2, coeffs):
+    t = TensorSymFunc.make(bases1, {key: Fraction(c) for key, c in coeffs.items()})
+    u = t.to(bases2)
+    assert t == u
+    assert hash(t) == hash(u)

@@ -1,0 +1,92 @@
+"""The prefix-sharing expansions of the layered transfer engine against
+pointwise counts, and the weight validation shared by every route."""
+
+import pytest
+
+from cylsym.cylindric import _weight_expansion, phi_weight, psi_weight, theta_weight
+from cylsym.grassmannian import (
+    _chi_expansion,
+    _kostka_expansion,
+    chi_weight,
+    grass_context,
+    quantum_kostka,
+)
+from cylsym.partitions import enumerate_alcove, partitions_of
+from cylsym.symfunc import (
+    adjacent_column_weight,
+    psi_weight_flat,
+    skew_e,
+    skew_h,
+    theta_weight_flat,
+)
+
+GRIDS = [(3, 2), (4, 2)]
+
+
+def pointwise(deg, count, max_part=None):
+    return {nu: c for nu in partitions_of(deg, max_part=max_part) if (c := count(nu))}
+
+
+@pytest.mark.parametrize("n,k", GRIDS)
+def test_crpp_expansion_matches_pointwise(n, k):
+    routes = {"theta": theta_weight, "psi": psi_weight, "phi": phi_weight}
+    A = enumerate_alcove(n, k)
+    for lam in A:
+        for mu in A:
+            for d in range(3):
+                deg = lam.size - mu.size + n * d
+                for kind, weight in routes.items():
+                    expected = pointwise(deg, lambda nu: weight(lam, d, mu, nu))
+                    assert _weight_expansion(lam, d, mu, kind) == expected, (kind, lam, d, mu)
+
+
+@pytest.mark.parametrize("n,k", GRIDS)
+def test_kostka_and_ribbon_expansions_match_pointwise(n, k):
+    ctx = grass_context(n, k)
+    for lam in ctx.boxed:
+        for mu in ctx.boxed:
+            for d in range(3):
+                deg = lam.size - mu.size + n * d
+                for row_strict, bound in ((False, n - k), (True, k)):
+                    expected = pointwise(
+                        deg,
+                        lambda nu: quantum_kostka(ctx, lam, d, mu, nu, row_strict=row_strict),
+                        max_part=bound,
+                    )
+                    got = _kostka_expansion(ctx, lam, d, mu, row_strict)
+                    assert got == expected, (row_strict, lam, d, mu)
+                expected = pointwise(deg, lambda nu: chi_weight(ctx, lam, d, mu, nu))
+                assert _chi_expansion(ctx, lam, d, mu) == expected, (lam, d, mu)
+
+
+def test_flat_expansions_match_pointwise():
+    for s in range(7):
+        for lam in partitions_of(s):
+            for t in range(s + 1):
+                for mu in partitions_of(t):
+                    h = pointwise(s - t, lambda nu: theta_weight_flat(lam, mu, nu))
+                    e = pointwise(s - t, lambda nu: psi_weight_flat(lam, mu, nu))
+                    assert skew_h(lam, mu).dict() == h, (lam, mu)
+                    assert skew_e(lam, mu).dict() == e, (lam, mu)
+
+
+def test_negative_weight_entry_raises():
+    lam, mu = enumerate_alcove(3, 2)[-1], enumerate_alcove(3, 2)[0]
+    deg = lam.size - mu.size + 3
+    nu = (deg + 1, -1)
+    ctx = grass_context(4, 2)
+    top, empty = ctx.boxed[-1], ctx.boxed[0]
+    rib = (top.size + 1, -1)
+    routes = [
+        lambda: theta_weight(lam, 1, mu, nu),
+        lambda: psi_weight(lam, 1, mu, nu),
+        lambda: phi_weight(lam, 1, mu, nu),
+        lambda: chi_weight(ctx, top, 0, empty, rib),
+        lambda: quantum_kostka(ctx, top, 0, empty, (2, 2, 1, -1)),
+        lambda: theta_weight_flat((3, 1), (1,), (4, -1)),
+        lambda: psi_weight_flat((3, 1), (1,), (4, -1)),
+        lambda: adjacent_column_weight((3, 1), (1,), (4, -1)),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError):
+            route()
