@@ -287,6 +287,11 @@ def main(argv=None) -> int:
     if args.command in ("fusion", "gw", "cyl", "verify") and (args.n < 1 or args.k < 1):
         print("error: n and k must be positive", file=sys.stderr)
         return 2
+    for flag in ("dmax", "d"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print(f"error: --{flag} must be non-negative", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except UsageError as exc:

@@ -47,7 +47,8 @@ def _exact_polydiv(num: list[int], den: list[int]) -> list[int]:
         if coef:
             for j, d in enumerate(den):
                 num[i + j] -= coef * d
-    assert all(c == 0 for c in num[: len(den) - 1])
+    if any(num[: len(den) - 1]):
+        raise ValueError("polynomial division is not exact")
     return out
 
 

@@ -9,7 +9,7 @@ root-of-unity alternant formulas and the beta-number ribbon moves apply.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .affine import ShiftedShape
 from .cyclotomic import CycloNum, eval_alternant
@@ -21,6 +21,7 @@ from .partitions import (
     beta_numbers,
     boxed_from_strict,
     conjugate,
+    distinct_permutations,
     enumerate_boxed,
     enumerate_strict,
     length,
@@ -34,11 +35,12 @@ from .partitions import (
     transfer_expansion,
     z_factor,
 )
-from .symfunc import SymFunc, hall_inner, mn_character, multiply, sym
+from .symfunc import SymFunc, hall_inner, mn_character, multiply, schur_straighten, sym
 
 
 class GrassContext:
-    """Caches for Gr(k, n): boxed/strict enumerations and alternant tables."""
+    """Gr(k, n): boxed and strict enumerations, plus the root-of-unity tables
+    that only the alternant route `gw_bvi` reads; those are built on first use."""
 
     def __init__(self, n: int, k: int):
         if not 1 <= k < n:
@@ -47,24 +49,31 @@ class GrassContext:
         self.k = k
         self.boxed = enumerate_boxed(n, k)
         self.strict = enumerate_strict(n, k)
-        rho = staircase(k)
-        self.alt = {}
-        self.alt_neg = {}
-        self.denom_inv = {}
-        for sigma in self.strict:
-            s = sigma.parts
-            denom = eval_alternant(rho, s, n) * (n**k)
-            self.denom_inv[s] = denom.inv()
-        for lam in self.strict:
-            self.alt[lam.parts] = {
-                s.parts: eval_alternant(lam.parts, s.parts, n) for s in self.strict
-            }
-            self.alt_neg[lam.parts] = {
-                s.parts: eval_alternant(
-                    lam.parts, tuple(-x for x in s.parts), n
-                )
+
+    @cached_property
+    def denom_inv(self) -> dict:
+        rho = staircase(self.k)
+        return {
+            s.parts: (eval_alternant(rho, s.parts, self.n) * (self.n**self.k)).inv()
+            for s in self.strict
+        }
+
+    @cached_property
+    def alt(self) -> dict:
+        return {
+            lam.parts: {s.parts: eval_alternant(lam.parts, s.parts, self.n) for s in self.strict}
+            for lam in self.strict
+        }
+
+    @cached_property
+    def alt_neg(self) -> dict:
+        return {
+            lam.parts: {
+                s.parts: eval_alternant(lam.parts, tuple(-x for x in s.parts), self.n)
                 for s in self.strict
             }
+            for lam in self.strict
+        }
 
     def conjugate_context(self) -> "GrassContext":
         return grass_context(self.n, self.n - self.k)
@@ -132,26 +141,52 @@ def _schur_coefficient(f: SymFunc, sigma: Partition) -> Fraction:
     return total
 
 
-def gw_ribbon(ctx: GrassContext, lam, mu, nu, d: int) -> int:
-    """C_{lam mu}^{nu, d} by classical Littlewood-Richardson numbers and
-    signed n-ribbon reduction of the product terms."""
-    lam, mu, nu = _as_boxed(ctx, lam), _as_boxed(ctx, mu), _as_boxed(ctx, nu)
+@lru_cache(maxsize=None)
+def _k_weights(ctx: GrassContext, mu: BoxedPartition) -> tuple:
+    """((alpha, K_{mu alpha}), ...) over the k-entry weights alpha of s_mu in k variables."""
+    empty = BoxedPartition((), ctx.n, ctx.k)
+    out = []
+    for nu, c in _kostka_expansion(ctx, mu, 0, empty, row_strict=False).items():
+        if len(nu) <= ctx.k:
+            padded = nu + (0,) * (ctx.k - len(nu))
+            out.extend((alpha, c) for alpha in distinct_permutations(padded))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _reduced_product(ctx: GrassContext, lam: BoxedPartition, mu: BoxedPartition) -> dict:
+    """{(nu, d): C_{lam mu}^{nu, d}} for s_lam * s_mu in k variables, each term
+    straightened (Brauer-Klimyk) and reduced by signed n-rim-hook removal."""
     n, k = ctx.n, ctx.k
-    if d < 0 or lam.size + mu.size - nu.size != n * d:
-        return 0
-    target = lam.size + mu.size
-    prod = multiply(sym("s", lam.parts), sym("s", mu.parts))
-    total = Fraction(0)
-    for sigma in partitions_of(target, max_len=k):
-        core, weight, parity = n_core(sigma, n)
-        if weight != d or core != nu.parts:
+    base = lam.padded()
+    cores: dict = {}
+    out: dict = {}
+    for alpha, c in _k_weights(ctx, mu):
+        term = schur_straighten(tuple(a + b for a, b in zip(base, alpha)))
+        if term is None:
             continue
+        sign, sigma = term
+        if sigma not in cores:
+            cores[sigma] = n_core(sigma, n)
+        core, weight, parity = cores[sigma]
         if core and core[0] > n - k:
             continue
-        c = _schur_coefficient(prod, sigma)
-        if c:
-            sign = -1 if (k * d - parity) % 2 else 1
-            total += c * sign
+        if (k * weight - parity) % 2:
+            sign = -sign
+        key = (core, weight)
+        out[key] = out.get(key, 0) + sign * c
+    return out
+
+
+def gw_ribbon(ctx: GrassContext, lam, mu, nu, d: int) -> int:
+    """C_{lam mu}^{nu, d} by signed n-rim-hook reduction of the k-variable
+    Schur product s_lam * s_mu (Bertram, Ciocan-Fontanine and Fulton)."""
+    lam, mu, nu = _as_boxed(ctx, lam), _as_boxed(ctx, mu), _as_boxed(ctx, nu)
+    if d < 0 or lam.size + mu.size - nu.size != ctx.n * d:
+        return 0
+    # the product commutes: take the weights of the smaller factor
+    big, small = (lam, mu) if (lam.size, lam.parts) >= (mu.size, mu.parts) else (mu, lam)
+    total = _reduced_product(ctx, big, small).get((nu.parts, d), 0)
     if total.denominator != 1:
         raise ValueError(f"non-integral ribbon-route value at {lam.parts},{mu.parts},{nu.parts},{d}")
     value = total.numerator
@@ -160,7 +195,7 @@ def gw_ribbon(ctx: GrassContext, lam, mu, nu, d: int) -> int:
     return value
 
 
-def gw_table(ctx: GrassContext, dmax: int, route=gw_bvi) -> CoeffTable:
+def gw_table(ctx: GrassContext, dmax: int, route=gw_ribbon) -> CoeffTable:
     """Full table of C_{lam mu}^{nu, d} for d <= dmax, nonzero entries only."""
     table = CoeffTable(ctx.n, ctx.k, "C")
     table.metadata = {

@@ -345,7 +345,8 @@ class TensorSymFunc:
         return dict(self.coeffs)
 
     def __add__(self, other: "TensorSymFunc") -> "TensorSymFunc":
-        assert self.bases == other.bases
+        if self.bases != other.bases:
+            other = other.to(self.bases)
         out = dict(self.coeffs)
         for k, v in other.coeffs:
             out[k] = out.get(k, Fraction(0)) + v

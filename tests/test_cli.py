@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cylsym.cli import main
 
 
@@ -137,4 +139,18 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
         capsys, "fusion", "--n", "2", "--k", "1", "--format", "json", "--out", str(target)
     )
     assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gw", "--n", "4", "--k", "2", "--dmax", "-1"),
+        ("fusion", "--n", "3", "--k", "2", "--dmax", "-1"),
+        ("cyl", "s", "--n", "4", "--k", "2", "--lambda", "1", "--mu", "-", "--d", "-1"),
+    ],
+)
+def test_negative_degree_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
     assert err.startswith("error:")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -342,6 +343,30 @@ def test_cyl_schur_coproduct():
                 )
 
 
+def test_default_table_matches_bvi_on_edges_and_samples():
+    # whole tables on the k = 1 and n - k = 1 edges
+    for n, k in [(7, 1), (4, 3), (5, 4)]:
+        ctx = grass_context(n, k)
+        assert gw_table(ctx, 2).entries == gw_table(ctx, 2, route=gw_bvi).entries, (n, k)
+    # seeded samples one box size up: half nonzero entries, half lawful triples
+    rng = random.Random(20180515)
+    for n, k, dmax in [(7, 3, 2), (8, 3, 1)]:
+        ctx = grass_context(n, k)
+        table = gw_table(ctx, dmax)
+        lawful = [
+            (lam.parts, mu.parts, nu.parts, (lam.size + mu.size - nu.size) // n)
+            for lam in ctx.boxed
+            for mu in ctx.boxed
+            for nu in ctx.boxed
+            if lam.size + mu.size - nu.size in range(0, n * dmax + 1, n)
+        ]
+        picks = rng.sample(sorted(table.entries), 50) + rng.sample(lawful, 50)
+        for lam, mu, nu, d in picks:
+            assert table.entries.get((lam, mu, nu, d), 0) == gw_bvi(ctx, lam, mu, nu, d), (
+                n, k, lam, mu, nu, d,
+            )
+
+
 def test_gw_golden_table():
     path = os.path.join(GOLDEN_DIR, "gw_n4_k2_d2.json")
     with open(path) as fh:
@@ -360,18 +385,31 @@ def test_gw_table_schema():
 
 
 def test_ribbon_integrality_check_survives_optimize():
-    # a non-integral Schur coefficient must raise even when asserts are stripped
+    # integrality, exactness and basis checks must hold when asserts are stripped
     code = (
         "from fractions import Fraction\n"
         "from cylsym import grassmannian as gr\n"
+        "from cylsym.cyclotomic import _exact_polydiv\n"
+        "from cylsym.symfunc import sym, tensor\n"
         "if __debug__:\n"
         "    raise SystemExit('not running under -O')\n"
-        "gr._schur_coefficient = lambda f, sigma: Fraction(1, 2)\n"
+        "gr._reduced_product = lambda ctx, lam, mu: {((2,), 0): Fraction(1, 2)}\n"
         "try:\n"
         "    gr.gw_ribbon(gr.grass_context(4, 2), (1,), (1,), (2,), 0)\n"
         "except ValueError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('gw_ribbon returned a value')\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('gw_ribbon returned a value')\n"
+        "try:\n"
+        "    _exact_polydiv([1, 0, 1], [1, 1])\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('inexact division returned a quotient')\n"
+        "one = sym('m', ())\n"
+        "total = tensor(sym('m', (1, 1)), one) + tensor(sym('p', (1, 1)), one)\n"
+        "if total != tensor(sym('m', (1, 1)) + sym('p', (1, 1)), one):\n"
+        "    raise SystemExit(f'mixed-basis tensor sum is {total}')\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cylsym.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
