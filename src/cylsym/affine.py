@@ -240,7 +240,7 @@ class CylindricShape:
         lo = min(self.inner_at(i) for i in range(1, self.k + 1))
         cols = {}
         for j in range(lo + 1, lo + self.n + 1):
-            c = _threshold(self.outer, self.degree, j) - _threshold(self.inner, 0, j)
+            c = _threshold(self.outer_at, j) - _threshold(self.inner_at, j)
             if c:
                 cols[j] = c
         return cols
@@ -254,14 +254,14 @@ class CylindricShape:
         )
 
 
-def _threshold(lam: AlcoveWeight, d: int, j: int) -> int:
-    """Largest i with loop(i) >= j; the loop is weakly decreasing on Z."""
+def _threshold(loop, j: int) -> int:
+    """Largest i with loop(i) >= j, for a loop weakly decreasing on Z."""
     i = 0
-    while loop_value(lam, d, i) >= j:
+    while loop(i) >= j:
         i += 1
     if i > 0:
         return i - 1
-    while loop_value(lam, d, i) < j:
+    while loop(i) < j:
         i -= 1
     return i
 
@@ -333,9 +333,7 @@ class ShiftedShape:
         lo = min(self.inner_at(i) for i in range(1, self.k + 1))
         cols = {}
         for j in range(lo + 1, lo + width + 1):
-            c = _shifted_threshold(self.outer, self.degree, j) - _shifted_threshold(
-                self.inner, 0, j
-            )
+            c = _threshold(self.outer_at, j) - _threshold(self.inner_at, j)
             if c:
                 cols[j] = c
         return cols
@@ -347,17 +345,6 @@ class ShiftedShape:
             for i in range(1, self.k + 1)
             for j in range(self.inner_at(i) + 1, self.outer_at(i) + 1)
         )
-
-
-def _shifted_threshold(bar: BoxedPartition, d: int, j: int) -> int:
-    i = 0
-    while shifted_loop_value(bar, d, i) >= j:
-        i += 1
-    if i > 0:
-        return i - 1
-    while shifted_loop_value(bar, d, i) < j:
-        i -= 1
-    return i
 
 
 def shifted_act(bar: BoxedPartition, w: ExtAffinePerm) -> Weight:

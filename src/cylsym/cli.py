@@ -69,26 +69,7 @@ def _table_text(table: fu.CoeffTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_fusion(args) -> int:
-    ctx = fu.FusionContext(args.n, args.k)
-    if args.format == "csv":
-        table = fu.build_table(ctx, dmax=args.dmax, keep_zero=False)
-        _write(table.to_csv(), args.out)
-    else:
-        table = fu.build_table(ctx, dmax=args.dmax, keep_zero=True)
-        if args.format == "json":
-            _write(table.to_json(), args.out)
-        else:
-            _write(_table_text(table), args.out)
-    return 0
-
-
-def cmd_gw(args) -> int:
-    try:
-        ctx = gr.grass_context(args.n, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    table = gr.gw_table(ctx, args.dmax)
+def _write_table(table: fu.CoeffTable, args) -> int:
     if args.format == "csv":
         _write(table.to_csv(), args.out)
     elif args.format == "json":
@@ -96,6 +77,19 @@ def cmd_gw(args) -> int:
     else:
         _write(_table_text(table), args.out)
     return 0
+
+
+def cmd_fusion(args) -> int:
+    table = fu.build_table(fu.FusionContext(args.n, args.k), dmax=args.dmax, keep_zero=True)
+    return _write_table(table, args)
+
+
+def cmd_gw(args) -> int:
+    try:
+        ctx = gr.grass_context(args.n, args.k)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return _write_table(gr.gw_table(ctx, args.dmax), args)
 
 
 def cmd_cyl(args) -> int:
@@ -204,16 +198,12 @@ def _suite_symmetry(n: int, k: int) -> fu.Report:
 def _suite_orthogonality(n: int, k: int) -> fu.Report:
     ctx = fu.FusionContext(n, k)
     rep = fu.orthogonality_check(ctx)
-    inv = fu.s_matrix_inverse_check(ctx)
-    rep.checks += inv.checks
-    rep.failures.extend(inv.failures)
-    uni = fu.t_unitarity_check(ctx)
-    rep.checks += uni.checks
-    rep.failures.extend(uni.failures)
+    others = [fu.s_matrix_inverse_check(ctx), fu.t_unitarity_check(ctx)]
     if k == 1:
-        mod = fu.modular_relations_check(n)
-        rep.checks += mod.checks
-        rep.failures.extend(mod.failures)
+        others.append(fu.modular_relations_check(n))
+    for other in others:
+        rep.checks += other.checks
+        rep.failures.extend(other.failures)
     return rep
 
 

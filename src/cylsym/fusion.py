@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .cyclotomic import CycloNum, eval_msym, sqrt_int, zeta_pow
@@ -89,10 +89,12 @@ def n_count(lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:
 
 
 class FusionContext:
-    """Caches alcove enumeration and the monomial evaluations at zeta powers.
+    """The alcove of (n, k) with tables built on first use: the monomial
+    evaluations at zeta powers, read by the Verlinde route and the modular
+    checks, and the integer fusion array, read by the table and the suites.
 
-    All caches are read-only after construction, so instances may be shared
-    between threads.
+    A built table is never modified.  Two threads racing on first use may
+    build the same table twice; both copies are equal.
     """
 
     def __init__(self, n: int, k: int):
@@ -100,21 +102,44 @@ class FusionContext:
         self.k = k
         self.alcove = enumerate_alcove(n, k)
         self.index = {a.parts: i for i, a in enumerate(self.alcove)}
-        # msym[lam][sigma] = m_lam(zeta^sigma), and the conjugate evaluation
-        self.msym = {
-            a.parts: {
-                s.parts: eval_msym(a.parts, s.parts, n) for s in self.alcove
-            }
+        self.stab = {a.parts: stab_order(a.parts) for a in self.alcove}
+
+    @cached_property
+    def msym(self) -> dict:
+        """msym[lam][sigma] = m_lam(zeta^sigma)."""
+        return {
+            a.parts: {s.parts: eval_msym(a.parts, s.parts, self.n) for s in self.alcove}
             for a in self.alcove
         }
-        self.msym_neg = {
+
+    @cached_property
+    def msym_neg(self) -> dict:
+        """msym_neg[lam][sigma] = m_lam(zeta^-sigma), the conjugate evaluation."""
+        return {
             a.parts: {
-                s.parts: eval_msym(a.parts, tuple(-x for x in s.parts), n)
+                s.parts: eval_msym(a.parts, tuple(-x for x in s.parts), self.n)
                 for s in self.alcove
             }
             for a in self.alcove
         }
-        self.stab = {a.parts: stab_order(a.parts) for a in self.alcove}
+
+    @cached_property
+    def fusion(self) -> list:
+        """fusion[i][j][l] = N_{A_i A_j}^{A_l} over the alcove A, by counting;
+        entries that break the degree law are 0 without a count."""
+        n, k, A = self.n, self.k, self.alcove
+        return [
+            [
+                [
+                    fusion_count(nu.parts, lam.parts, mu.parts, n, k)
+                    if (lam.size + mu.size - nu.size) % n == 0 and lam.size + mu.size >= nu.size
+                    else 0
+                    for nu in A
+                ]
+                for mu in A
+            ]
+            for lam in A
+        ]
 
     def unit(self) -> AlcoveWeight:
         return AlcoveWeight((self.n,) * self.k, self.n, self.k)
@@ -219,31 +244,26 @@ class CoeffTable:
             table.entries[key] = e[value_key]
         return table
 
-    def to_csv(self, include_zero: bool = False) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["lambda", "mu", "nu", "d", "value"])
         for (lam, mu, nu, d), v in self.sorted_items():
-            if v == 0 and not include_zero:
-                continue
-            writer.writerow(
-                [format_partition(lam), format_partition(mu), format_partition(nu), d, v]
-            )
+            if v:
+                writer.writerow(
+                    [format_partition(lam), format_partition(mu), format_partition(nu), d, v]
+                )
         return buf.getvalue()
 
 
 def build_table(ctx: FusionContext, dmax: int | None = None, keep_zero: bool = False) -> CoeffTable:
     """Fusion table over the whole alcove; d = (|lam|+|mu|-|nu|)/n per entry."""
     table = CoeffTable(ctx.n, ctx.k, "N")
-    for lam in ctx.alcove:
-        for mu in ctx.alcove:
-            for nu in ctx.alcove:
+    for lam, row in zip(ctx.alcove, ctx.fusion):
+        for mu, values in zip(ctx.alcove, row):
+            for nu, value in zip(ctx.alcove, values):
                 total = lam.size + mu.size - nu.size
-                if total % ctx.n != 0 or total < 0:
-                    value, d = 0, -1
-                else:
-                    d = total // ctx.n
-                    value = fusion_count(nu.parts, lam.parts, mu.parts, ctx.n, ctx.k)
+                d = total // ctx.n if total % ctx.n == 0 and total >= 0 else -1
                 if dmax is not None and d > dmax:
                     continue
                 if value or keep_zero:
@@ -260,47 +280,49 @@ def symmetry_suite(ctx: FusionContext) -> Report:
     quantum-dimension sum rule, checked exhaustively over the alcove."""
     rep = Report(f"fusion symmetries (n={ctx.n}, k={ctx.k})")
     A = ctx.alcove
+    N = ctx.fusion
     unit = ctx.unit()
-
-    def N(l, m, u):
-        return fusion_count(u.parts, l.parts, m.parts, ctx.n, ctx.k)
-
-    for lam in A:
-        for mu in A:
+    u = ctx.index[unit.parts]
+    star = [ctx.index[a.star().parts] for a in A]
+    rot1, rot2, rot3 = ([ctx.index[a.rot(r).parts] for a in A] for r in (1, 2, 3))
+    qd = [a.quantum_dim() for a in A]
+    for i, lam in enumerate(A):
+        for j, mu in enumerate(A):
             rep.run(
-                N(lam, unit, mu) == (1 if lam == mu else 0),
+                N[i][u][j] == (1 if i == j else 0),
                 f"unit: N_({lam.parts},{unit.parts})^{mu.parts}",
             )
-            u_val = N(lam, mu, unit)
-            expect = lam.quantum_dim() if lam.star() == mu else 0
-            rep.run(u_val == expect, f"eta: N_({lam.parts},{mu.parts})^{unit.parts}")
-            for nu in A:
-                v = N(lam, mu, nu)
-                rep.run(v == N(mu, lam, nu), f"commutativity at {lam.parts},{mu.parts},{nu.parts}")
+            expect = qd[i] if star[i] == j else 0
+            rep.run(N[i][j][u] == expect, f"eta: N_({lam.parts},{mu.parts})^{unit.parts}")
+            for l, nu in enumerate(A):
+                v = N[i][j][l]
+                rep.run(v == N[j][i][l], f"commutativity at {lam.parts},{mu.parts},{nu.parts}")
                 rep.run(
-                    v == N(lam.star(), mu.star(), nu.star()),
+                    v == N[star[i]][star[j]][star[l]],
                     f"star covariance at {lam.parts},{mu.parts},{nu.parts}",
                 )
                 rep.run(
-                    v * nu.quantum_dim() == lam.quantum_dim() * N(mu, nu.star(), lam.star()),
+                    v * qd[l] == qd[i] * N[j][star[l]][star[i]],
                     f"dual symmetry at {lam.parts},{mu.parts},{nu.parts}",
                 )
                 rep.run(
-                    v == N(lam.rot(1), mu.rot(2), nu.rot(3)),
+                    v == N[rot1[i]][rot2[j]][rot3[l]],
                     f"rotation covariance at {lam.parts},{mu.parts},{nu.parts}",
                 )
-    # associativity and quantum dimension sum rule
-    for lam in A:
-        for mu in A:
+    # the quantum dimension sum rule, and associativity as the fusion-matrix
+    # identity sum_s N_{lam mu}^s N_s = N_mu N_lam with (N_x)[a][b] = N_{xa}^b
+    for i, lam in enumerate(A):
+        for j, mu in enumerate(A):
             rep.run(
-                lam.quantum_dim() * mu.quantum_dim()
-                == sum(N(lam, mu, nu) * nu.quantum_dim() for nu in A),
+                qd[i] * qd[j] == sum(c * q for c, q in zip(N[i][j], qd)),
                 f"dimension rule at {lam.parts},{mu.parts}",
             )
-            for nu in A:
-                for rho in A:
-                    left = sum(N(lam, mu, s) * N(s, nu, rho) for s in A)
-                    right = sum(N(mu, nu, s) * N(lam, s, rho) for s in A)
+            lam_mu = [(s, c) for s, c in enumerate(N[i][j]) if c]
+            for l, nu in enumerate(A):
+                mu_nu = [(s, c) for s, c in enumerate(N[j][l]) if c]
+                for r, rho in enumerate(A):
+                    left = sum(c * N[s][l][r] for s, c in lam_mu)
+                    right = sum(c * N[i][s][r] for s, c in mu_nu)
                     rep.run(
                         left == right,
                         f"associativity at {lam.parts},{mu.parts},{nu.parts},{rho.parts}",

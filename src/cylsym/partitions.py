@@ -414,6 +414,7 @@ def boxed_from_strict(lam: AlcoveWeight) -> BoxedPartition:
     )
 
 
+@lru_cache(maxsize=None)
 def enumerate_alcove(n: int, k: int) -> tuple[AlcoveWeight, ...]:
     """All k-part partitions with parts in [1, n], lexicographically sorted."""
     out = [
@@ -423,6 +424,7 @@ def enumerate_alcove(n: int, k: int) -> tuple[AlcoveWeight, ...]:
     return tuple(sorted(out, key=lambda a: a.parts))
 
 
+@lru_cache(maxsize=None)
 def enumerate_strict(n: int, k: int) -> tuple[AlcoveWeight, ...]:
     """Strictly decreasing alcove weights; empty when k > n."""
     out = [
@@ -432,6 +434,7 @@ def enumerate_strict(n: int, k: int) -> tuple[AlcoveWeight, ...]:
     return tuple(sorted(out, key=lambda a: a.parts))
 
 
+@lru_cache(maxsize=None)
 def enumerate_boxed(n: int, k: int) -> tuple[BoxedPartition, ...]:
     return tuple(
         sorted(

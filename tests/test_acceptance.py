@@ -183,7 +183,8 @@ def test_criterion_07_gw_dual_route():
         for mu in ctx.boxed:
             for nu in ctx.boxed:
                 assert gw_bvi(ctx, empty, mu, nu, 0) == (1 if mu == nu else 0)
-        assert gw_symmetry_suite(ctx, 2).ok
+        rep = gw_symmetry_suite(ctx, 2)
+        assert rep.ok and rep.checks == {4: 146, 5: 494, 6: 3026}[n], rep.summary()
         assert level_rank_check(ctx, 2).ok
     _announce("criterion 7: BVI = ribbon route on Gr(2,4), Gr(2,5), Gr(3,6), d <= 2")
 

@@ -110,6 +110,12 @@ def test_verify_all_passes(capsys):
     assert "ok" in out and "FAILED" not in out
 
 
+def test_verify_symmetry_summary_line(capsys):
+    code, out, _ = run(capsys, "verify", "symmetry", "--n", "5", "--k", "2")
+    assert code == 0
+    assert out == "fusion symmetries (n=5, k=2): 64800 checks, ok\n"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "orthogonality", "--n", "3", "--k", "1")
     assert code == 0

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from cylsym import fusion
 from cylsym.fusion import (
     CoeffTable,
     FusionContext,
@@ -71,10 +72,34 @@ def test_n_reduce_extended():
                     assert n_reduce(ctx, lam, mu, nu) == direct, (lam, mu, nu)
 
 
-@pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
+SYMMETRY_CHECKS = {(3, 2): 2268, (4, 3): 193200, (4, 2): 14300, (3, 3): 14300, (5, 2): 64800}
+
+
+@pytest.mark.parametrize("n,k", list(SYMMETRY_CHECKS))
 def test_symmetry_suite(n, k):
     rep = symmetry_suite(FusionContext(n, k))
     assert rep.ok, rep.summary()
+    assert rep.checks == SYMMETRY_CHECKS[(n, k)]
+
+
+def test_symmetry_suite_detects_a_corrupted_entry():
+    ctx = FusionContext(3, 2)
+    assert symmetry_suite(ctx).ok
+    ctx.fusion[0][1][2] += 1
+    rep = symmetry_suite(ctx)
+    assert not rep.ok and rep.checks == SYMMETRY_CHECKS[(3, 2)]
+
+
+def test_fusion_table_and_suites_evaluate_no_monomial(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("eval_msym called")
+
+    monkeypatch.setattr(fusion, "eval_msym", refuse)
+    ctx = FusionContext(3, 2)
+    with open(os.path.join(GOLDEN_DIR, "fusion_n3_k2.json")) as fh:
+        assert build_table(ctx).to_json() == fh.read().strip()
+    assert symmetry_suite(ctx).ok
+    assert frobenius_suite(ctx).ok
 
 
 def test_orthogonality_and_matrices():

@@ -7,11 +7,11 @@ import sys
 import pytest
 
 import cylsym
+from cylsym import grassmannian
 from cylsym.fusion import CoeffTable
 from cylsym.grassmannian import (
     chi_matrix_check,
     chi_weight,
-    conjugate_in,
     core_fiber,
     cyl_schur,
     cyl_schur_p,
@@ -99,6 +99,20 @@ def test_gw_symmetries_and_level_rank():
         assert level_rank_check(ctx, 2).ok
 
 
+def test_gw_symmetry_suite_detects_a_shifted_value(monkeypatch):
+    ctx = grass_context(4, 2)
+    exact = gw_bvi
+
+    def shifted(ctx, lam, mu, nu, d):
+        value = exact(ctx, lam, mu, nu, d)
+        return value + 1 if (lam.parts, mu.parts, nu.parts, d) == ((1,), (2,), (2, 1), 0) else value
+
+    monkeypatch.setattr(grassmannian, "gw_bvi", shifted)
+    rep = gw_symmetry_suite(ctx, 2)
+    assert rep.checks == 146
+    assert rep.failures[0] == "commutativity at (1,),(2,),(2, 1),0"
+
+
 def test_quantum_pieri_matches_horizontal_strips():
     for n, k in [(4, 2), (5, 2)]:
         ctx = grass_context(n, k)
@@ -138,9 +152,9 @@ def test_kostka_level_rank_duality():
                     a = quantum_kostka(ctx, lam, d, mu, alpha)
                     b = quantum_kostka(
                         other,
-                        conjugate_in(ctx, lam),
+                        lam.conjugate_boxed(),
                         d,
-                        conjugate_in(ctx, mu),
+                        mu.conjugate_boxed(),
                         alpha,
                         row_strict=True,
                     )
