@@ -21,8 +21,6 @@ from .affine import (
     CylindricLoop,
     CylindricShape,
     ExtAffinePerm,
-    ShiftedShape,
-    act_level_n,
     act_on_weight,
     is_valid_shape,
     shifted_act,

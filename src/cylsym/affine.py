@@ -9,6 +9,7 @@ shapes are the regions between two loops.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .partitions import (
@@ -59,11 +60,6 @@ class ExtAffinePerm:
             # self maps j + m*k to v + m*k, so the preimage of r+1 is j - q*k
             window[r] = j - q * k
         return ExtAffinePerm(tuple(window))
-
-    def tau_degree(self) -> int:
-        """d in the decomposition w = (affine part) . tau^d."""
-        k = self.k
-        return (k * (k + 1) // 2 - sum(self.window)) // k
 
 
 def identity_perm(k: int) -> ExtAffinePerm:
@@ -155,18 +151,6 @@ def act_on_loop(loop: CylindricLoop, w: ExtAffinePerm) -> CylindricLoop:
     return loop_from_window(values, loop.n)
 
 
-def act_level_n(target, w: ExtAffinePerm, n: int | None = None):
-    """Right level-n action; returns the same kind as the input.
-
-    Loops carry their own level; plain weights need n passed explicitly.
-    """
-    if isinstance(target, CylindricLoop):
-        return act_on_loop(target, w)
-    if n is None:
-        raise ValueError("plain weights need the level n")
-    return act_on_weight(tuple(target), w, n)
-
-
 def loop_from_window(values: Weight, n: int) -> CylindricLoop:
     """Normalise a weakly decreasing quasi-periodic window into (base, offset)."""
     k = len(values)
@@ -230,20 +214,15 @@ class CylindricShape:
         return tuple(self.outer_at(i) - self.inner_at(i) for i in range(1, self.k + 1))
 
     def column_counts(self) -> dict[int, int]:
-        """Boxes per column over one period of n consecutive columns.
+        """Boxes per column residue mod n, {residue: count}, of a valid shape.
 
-        Column j of the plane holds the rows i with inner(i) < j <= outer(i);
-        counts are n-periodic in j.
+        Moving a cell k rows down moves it n columns left, so the cells of
+        rows 1..k with column j mod n are as many as the cells of any one
+        column j of the plane.
         """
         if not self.is_valid():
             return {}
-        lo = min(self.inner_at(i) for i in range(1, self.k + 1))
-        cols = {}
-        for j in range(lo + 1, lo + self.n + 1):
-            c = _threshold(self.outer_at, j) - _threshold(self.inner_at, j)
-            if c:
-                cols[j] = c
-        return cols
+        return Counter(j % self.n for _, j in self.cells())
 
     def cells(self) -> tuple[tuple[int, int], ...]:
         """Cells in the fundamental strip of rows 1..k."""
@@ -252,18 +231,6 @@ class CylindricShape:
             for i in range(1, self.k + 1)
             for j in range(self.inner_at(i) + 1, self.outer_at(i) + 1)
         )
-
-
-def _threshold(loop, j: int) -> int:
-    """Largest i with loop(i) >= j, for a loop weakly decreasing on Z."""
-    i = 0
-    while loop(i) >= j:
-        i += 1
-    if i > 0:
-        return i - 1
-    while loop(i) < j:
-        i -= 1
-    return i
 
 
 def is_valid_shape(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> bool:
@@ -282,69 +249,6 @@ def is_vertical_strip(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> bool:
 
 # ---------------------------------------------------------------------------
 # shifted (staircase) coordinates: loops on the cylinder of circumference n - k
-
-
-def shifted_loop_value(bar: BoxedPartition, d: int, i: int) -> int:
-    """Value at i of the shifted loop of a boxed partition, offset d."""
-    strict = bar.to_strict()
-    rho_i = bar.k + 1 - i  # staircase extended over Z
-    return loop_value(strict, d, i) - rho_i
-
-
-@dataclass(frozen=True)
-class ShiftedShape:
-    """Cylindric skew shape of boxed partitions under the shifted action."""
-
-    outer: BoxedPartition
-    degree: int
-    inner: BoxedPartition
-
-    def __post_init__(self):
-        self.outer.same_context(self.inner)
-
-    @property
-    def n(self) -> int:
-        return self.outer.n
-
-    @property
-    def k(self) -> int:
-        return self.outer.k
-
-    def outer_at(self, i: int) -> int:
-        return shifted_loop_value(self.outer, self.degree, i)
-
-    def inner_at(self, i: int) -> int:
-        return shifted_loop_value(self.inner, 0, i)
-
-    def is_valid(self) -> bool:
-        return all(self.inner_at(i) <= self.outer_at(i) for i in range(1, self.k + 1))
-
-    def cell_count(self) -> int:
-        return self.outer.size + self.n * self.degree - self.inner.size
-
-    def row_counts(self) -> tuple[int, ...]:
-        return tuple(self.outer_at(i) - self.inner_at(i) for i in range(1, self.k + 1))
-
-    def column_counts(self) -> dict[int, int]:
-        """Boxes per column over one period of n - k consecutive columns."""
-        if not self.is_valid():
-            return {}
-        width = self.n - self.k
-        lo = min(self.inner_at(i) for i in range(1, self.k + 1))
-        cols = {}
-        for j in range(lo + 1, lo + width + 1):
-            c = _threshold(self.outer_at, j) - _threshold(self.inner_at, j)
-            if c:
-                cols[j] = c
-        return cols
-
-    def cells_strip(self) -> tuple[tuple[int, int], ...]:
-        """Cells in the fundamental strip of rows 1..k."""
-        return tuple(
-            (i, j)
-            for i in range(1, self.k + 1)
-            for j in range(self.inner_at(i) + 1, self.outer_at(i) + 1)
-        )
 
 
 def shifted_act(bar: BoxedPartition, w: ExtAffinePerm) -> Weight:

@@ -166,7 +166,7 @@ def phi_cyl(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
     cols = shape.column_counts()
     if any(c > 1 for c in cols.values()):
         return 0
-    residues = {j % n for j in cols}
+    residues = set(cols)
     if len(residues) != r_red:
         return 0
     starts = [a for a in residues if (a - 1) % n not in residues]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .affine import ShiftedShape
+from .affine import CylindricShape, is_vertical_strip
 from .cyclotomic import CycloNum, eval_alternant
 from .fusion import CoeffTable, Report
 from .partitions import (
@@ -216,11 +216,11 @@ def gw_table(ctx: GrassContext, dmax: int, route=gw_ribbon) -> CoeffTable:
     return table
 
 
-def gw_symmetry_suite(ctx: GrassContext, dmax: int = 2) -> Report:
-    """Commutativity, vee-duality and the delta normalisation of the GW table,
-    read from one table built by the alternant route."""
+def gw_symmetry_suite(ctx: GrassContext, table: CoeffTable, dmax: int) -> Report:
+    """Commutativity, vee-duality and the delta normalisation of a GW table
+    with d <= dmax, such as `gw_table(ctx, dmax, route=gw_bvi)`."""
     rep = Report(f"GW symmetries Gr({ctx.k},{ctx.n})")
-    C = gw_table(ctx, dmax, route=gw_bvi).entries
+    C = table.entries
     vee = {b: b.vee().parts for b in ctx.boxed}
     for lam in ctx.boxed:
         for mu in ctx.boxed:
@@ -264,12 +264,17 @@ def level_rank_check(ctx: GrassContext, dmax: int = 2) -> Report:
 
 
 def _strip_ok(lam: BoxedPartition, de: int, mu: BoxedPartition, row_strict: bool) -> bool:
-    shape = ShiftedShape(lam, de, mu)
+    """Is the shifted-cylinder shape lam/de/mu a vertical (row_strict) or a
+    horizontal strip?  It is the shape of the strict weights, read with the
+    same rows and with the diagonals (i + j) mod (n - k) as its columns."""
+    outer, inner = lam.to_strict(), mu.to_strict()
+    if row_strict:
+        return is_vertical_strip(outer, de, inner)
+    shape = CylindricShape(outer, de, inner)
     if not shape.is_valid():
         return False
-    if row_strict:
-        return all(c <= 1 for c in shape.row_counts())
-    return all(c <= 1 for c in shape.column_counts().values())
+    diagonals = [(i + j) % (shape.n - shape.k) for i, j in shape.cells()]
+    return len(set(diagonals)) == len(diagonals)
 
 
 @lru_cache(maxsize=None)

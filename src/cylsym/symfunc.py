@@ -17,10 +17,12 @@ from math import comb
 from .partitions import (
     Partition,
     _comb0,
+    beta_numbers,
     conjugate,
     length,
     multiplicity,
     normalize,
+    partition_from_betas,
     partitions_of,
     size,
     transfer,
@@ -429,26 +431,14 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
     r, rest = mu[0], mu[1:]
-    betas = frozenset(b for b in _betas(lam))
+    betas = frozenset(beta_numbers(lam, max(len(lam), 1)))
     total = 0
     for b in betas:
         if b >= r and (b - r) not in betas:
             crossed = sum(1 for x in betas if b - r < x < b)
-            sub = _partition_from_betaset(betas - {b} | {b - r})
+            sub = partition_from_betas(betas - {b} | {b - r})
             total += (-1) ** crossed * mn_character(sub, rest)
     return total
-
-
-def _betas(lam: Partition) -> tuple[int, ...]:
-    ell = max(len(lam), 1)
-    padded = list(lam) + [0] * (ell - len(lam))
-    return tuple(padded[i] + ell - (i + 1) for i in range(ell))
-
-
-def _partition_from_betaset(bs: frozenset) -> Partition:
-    xs = sorted(bs, reverse=True)
-    ell = len(xs)
-    return normalize(tuple(xs[i] - (ell - (i + 1)) for i in range(ell)))
 
 
 def sign_character(mu: Partition) -> int:

@@ -38,6 +38,7 @@ from cylsym.grassmannian import (
     gw_bvi,
     gw_ribbon,
     gw_symmetry_suite,
+    gw_table,
     level_rank_check,
     mcnamara_expand,
 )
@@ -169,21 +170,13 @@ def test_criterion_06_vee_duality():
 def test_criterion_07_gw_dual_route():
     for n, k in [(4, 2), (5, 2), (6, 3)]:
         ctx = grass_context(n, k)
-        empty = BoxedPartition((), n, k)
-        for lam in ctx.boxed:
-            for mu in ctx.boxed:
-                for nu in ctx.boxed:
-                    total = lam.size + mu.size - nu.size
-                    if total < 0 or total % n or total // n > 2:
-                        continue
-                    d = total // n
-                    a = gw_bvi(ctx, lam, mu, nu, d)
-                    b = gw_ribbon(ctx, lam, mu, nu, d)
-                    assert a == b >= 0, (n, k, lam.parts, mu.parts, nu.parts, d)
+        # both routes raise on a negative value and keep the nonzero entries
+        bvi = gw_table(ctx, 2, route=gw_bvi)
+        assert bvi.entries == gw_table(ctx, 2, route=gw_ribbon).entries, (n, k)
         for mu in ctx.boxed:
             for nu in ctx.boxed:
-                assert gw_bvi(ctx, empty, mu, nu, 0) == (1 if mu == nu else 0)
-        rep = gw_symmetry_suite(ctx, 2)
+                assert bvi.entries.get(((), mu.parts, nu.parts, 0), 0) == (1 if mu == nu else 0)
+        rep = gw_symmetry_suite(ctx, bvi, 2)
         assert rep.ok and rep.checks == {4: 146, 5: 494, 6: 3026}[n], rep.summary()
         assert level_rank_check(ctx, 2).ok
     _announce("criterion 7: BVI = ribbon route on Gr(2,4), Gr(2,5), Gr(3,6), d <= 2")

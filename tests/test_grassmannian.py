@@ -7,7 +7,6 @@ import sys
 import pytest
 
 import cylsym
-from cylsym import grassmannian
 from cylsym.fusion import CoeffTable
 from cylsym.grassmannian import (
     chi_matrix_check,
@@ -95,37 +94,38 @@ def test_dual_route(n, k, dmax):
 def test_gw_symmetries_and_level_rank():
     for n, k in [(4, 2), (5, 2)]:
         ctx = grass_context(n, k)
-        assert gw_symmetry_suite(ctx, 2).ok
+        assert gw_symmetry_suite(ctx, gw_table(ctx, 2, route=gw_bvi), 2).ok
         assert level_rank_check(ctx, 2).ok
 
 
-def test_gw_symmetry_suite_detects_a_shifted_value(monkeypatch):
+def test_gw_symmetry_suite_detects_a_shifted_value():
     ctx = grass_context(4, 2)
-    exact = gw_bvi
 
     def shifted(ctx, lam, mu, nu, d):
-        value = exact(ctx, lam, mu, nu, d)
+        value = gw_bvi(ctx, lam, mu, nu, d)
         return value + 1 if (lam.parts, mu.parts, nu.parts, d) == ((1,), (2,), (2, 1), 0) else value
 
-    monkeypatch.setattr(grassmannian, "gw_bvi", shifted)
-    rep = gw_symmetry_suite(ctx, 2)
+    rep = gw_symmetry_suite(ctx, gw_table(ctx, 2, route=shifted), 2)
     assert rep.checks == 146
     assert rep.failures[0] == "commutativity at (1,),(2,),(2, 1),0"
 
 
 def test_quantum_pieri_matches_horizontal_strips():
-    for n, k in [(4, 2), (5, 2)]:
+    # a row (r) adds a horizontal strip, a column (1^r) a vertical one
+    for n, k in [(4, 2), (5, 2), (5, 3)]:
         ctx = grass_context(n, k)
-        for r in range(1, n - k + 1):
-            row = boxed((r,), n, k)
+        pieri = [((r,), r, False) for r in range(1, n - k + 1)]
+        pieri += [((1,) * r, r, True) for r in range(1, k + 1)]
+        for parts, r, row_strict in pieri:
+            factor = boxed(parts, n, k)
             for mu in ctx.boxed:
                 for lam in ctx.boxed:
                     total = r + mu.size - lam.size
                     if total < 0 or total % n:
                         continue
                     d = total // n
-                    expect = 1 if _strip_ok(lam, d, mu, False) else 0
-                    assert gw_bvi(ctx, row, mu, lam, d) == expect
+                    expect = 1 if _strip_ok(lam, d, mu, row_strict) else 0
+                    assert gw_bvi(ctx, factor, mu, lam, d) == expect, (n, k, parts, lam.parts, mu.parts, d)
 
 
 # -- quantum Kostka numbers ------------------------------------------------------
