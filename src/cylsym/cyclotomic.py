@@ -1,15 +1,17 @@
 """Exact arithmetic in Q(zeta_n), the field of n-th roots of unity.
 
 Elements are residues modulo the n-th cyclotomic polynomial, stored as a
-rational coefficient vector of length phi(n).  Phi_n is irreducible over Q, so
-representatives are unique and equality is coefficient equality.
+vector of phi(n) integer numerators over one positive denominator, in lowest
+terms.  Phi_n is irreducible over Q, so representatives are unique and
+equality is coefficient equality.  The Galois action zeta -> zeta^a gives both
+complex conjugation (a = -1) and the inverse, by the norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
+from math import gcd, lcm
 
 from .partitions import Weight, distinct_permutations
 
@@ -57,38 +59,79 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), the nonzero (j, c) of Phi_n below its leading term)."""
     phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    c = list(coeffs)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce_mod_phi(coeffs: list[int], n: int) -> list[int]:
+    """Residue of sum c_i x^i modulo the monic integer Phi_n: phi(n) integers."""
+    deg, tail = _phi_tail(n)
+    c = list(coeffs) + [0] * (deg - len(coeffs))
     for i in range(len(c) - 1, deg - 1, -1):
         top = c[i]
         if top:
-            for j in range(deg + 1):
-                c[i - deg + j] -= top * phi[j]
-        c.pop()
-    while len(c) < deg:
-        c.append(Fraction(0))
-    return tuple(c)
+            for j, p in tail:
+                c[i - deg + j] -= top * p
+    return c[:deg]
 
 
-@dataclass(frozen=True)
 class CycloNum:
-    """Element of Q(zeta_n) as a length-phi(n) rational vector mod Phi_n."""
+    """Element of Q(zeta_n): integer numerators `num` of the powers
+    zeta^0 .. zeta^(phi(n)-1) modulo Phi_n, over one denominator `den` > 0.
 
-    n: int
-    coeffs: tuple[Fraction, ...]
+    The pair is kept in lowest terms, so equality and hashing are value
+    equality.  `CycloNum(n, coeffs)` takes any rational vector of length
+    phi(n).  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != euler_phi(self.n):
+    __slots__ = ("n", "num", "den")
+
+    def __init__(self, n: int, coeffs):
+        q = [Fraction(c) for c in coeffs]
+        if len(q) != euler_phi(n):
             raise ValueError("coefficient vector has the wrong length")
+        den = lcm(*(c.denominator for c in q))
+        self._fill(n, [c.numerator * (den // c.denominator) for c in q], den)
+
+    def _fill(self, n: int, num, den: int) -> "CycloNum":
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+        return self
+
+    @staticmethod
+    def _of(n: int, num, den: int = 1) -> "CycloNum":
+        """num / den for integer numerators and den > 0, put in lowest terms."""
+        return object.__new__(CycloNum)._fill(n, num, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycloNum is immutable")
+
+    def __reduce__(self):
+        return CycloNum._of, (self.n, self.num, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, CycloNum):
+            return NotImplemented
+        return self.n == other.n and self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.num, self.den))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(n: int, value) -> "CycloNum":
-        c = [Fraction(value)] + [Fraction(0)] * (euler_phi(n) - 1)
-        return CycloNum(n, tuple(c))
+        q = Fraction(value)
+        return CycloNum._of(n, [q.numerator] + [0] * (euler_phi(n) - 1), q.denominator)
 
     @staticmethod
     def zero(n: int) -> "CycloNum":
@@ -106,49 +149,56 @@ class CycloNum:
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         self._check(other)
-        return CycloNum(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return CycloNum._of(
+            self.n, [x * b + y * a for x, y in zip(self.num, other.num)], a * b
+        )
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
-        self._check(other)
-        return CycloNum(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.n, tuple(-a for a in self.coeffs))
+        return CycloNum._of(self.n, [-x for x in self.num], self.den)
 
     def __mul__(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloNum(self.n, tuple(a * q for a in self.coeffs))
-        self._check(other)
-        m = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycloNum(self.n, _reduce_mod_phi(prod, self.n))
+        if isinstance(other, CycloNum):
+            self._check(other)
+            a, b = self.num, other.num
+            prod = [0] * (2 * len(a) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        prod[j] += x * y
+            return CycloNum._of(self.n, _reduce_mod_phi(prod, self.n), self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return CycloNum._of(
+            self.n, [x * other.numerator for x in self.num], self.den * other.denominator
+        )
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
+
+    def _galois(self, a: int) -> "CycloNum":
+        """sigma_a: zeta -> zeta^a, for a coprime to n."""
+        n = self.n
+        spread = [0] * n
+        for i, c in enumerate(self.num):
+            spread[a * i % n] = c
+        return CycloNum._of(n, _reduce_mod_phi(spread, n), self.den)
 
     def inv(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
+        """Multiplicative inverse by the norm: x^-1 = prod_{a != 1} sigma_a(x) / N(x)
+        over the units a mod n (Cohen, GTM 138, section 4.3)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 is now a nonzero constant gcd
-        c = r0[0]
-        inv_coeffs = [x / c for x in s0]
-        return CycloNum(self.n, _reduce_mod_phi(inv_coeffs, self.n))
+        rest = CycloNum.one(self.n)
+        for a in range(2, self.n):
+            if gcd(a, self.n) == 1:
+                rest = rest * self._galois(a)
+        return rest * (1 / (self * rest).to_fraction())
 
     def __truediv__(self, other) -> "CycloNum":
         if isinstance(other, (int, Fraction)):
@@ -156,19 +206,15 @@ class CycloNum:
         return self * other.inv()
 
     def conjugate(self) -> "CycloNum":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        out = CycloNum.zero(self.n)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out = out + zeta_pow(self.n, -i) * c
-        return out
+        """Complex conjugation zeta -> zeta^(-1), the Galois action sigma_{-1}."""
+        return self._galois(-1)
 
     # -- coercions ---------------------------------------------------------
 
     def to_fraction(self) -> Fraction:
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             raise NonIntegralError(self, "not a rational number")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def to_integer(self) -> int:
         q = self.to_fraction()
@@ -177,54 +223,22 @@ class CycloNum:
         return q.numerator
 
     def __repr__(self) -> str:
-        terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c != 0]
+        terms = [f"{Fraction(c, self.den)}*z^{i}" for i, c in enumerate(self.num) if c]
         return f"CycloNum(n={self.n}, {' + '.join(terms) or '0'})"
 
 
-def _polydivmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        pos = len(a) - len(b)
-        q[pos] = f
-        for i, c in enumerate(b):
-            a[pos + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a or [Fraction(0)]
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
+def _root_sum(n: int, terms) -> CycloNum:
+    """sum of c * zeta_n^e over the (e, c) in terms, with one reduction by Phi_n."""
+    counts = [0] * n
+    for e, c in terms:
+        counts[e % n] += c
+    return CycloNum._of(n, _reduce_mod_phi(counts, n))
 
 
 @lru_cache(maxsize=None)
 def zeta_pow(n: int, e: int) -> CycloNum:
     """zeta_n^e as a reduced residue."""
-    e = e % n
-    mono = [Fraction(0)] * (e + 1)
-    mono[e] = Fraction(1)
-    return CycloNum(n, _reduce_mod_phi(mono, n))
+    return _root_sum(n, ((e, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +252,10 @@ def eval_msym(lam, p: Weight, n: int) -> CycloNum:
     padded = tuple(lam) + (0,) * (k - len(lam))
     if len(padded) != k:
         raise ValueError(f"{lam} has more than {k} parts")
-    total = CycloNum.zero(n)
-    for alpha in distinct_permutations(padded):
-        e = sum(pi * ai for pi, ai in zip(p, alpha))
-        total = total + zeta_pow(n, e)
-    return total
+    return _root_sum(
+        n,
+        ((sum(pi * ai for pi, ai in zip(p, alpha)), 1) for alpha in distinct_permutations(padded)),
+    )
 
 
 def eval_alternant(lam: Weight, sigma: Weight, n: int) -> CycloNum:
@@ -250,12 +263,13 @@ def eval_alternant(lam: Weight, sigma: Weight, n: int) -> CycloNum:
     k = len(lam)
     if len(sigma) != k:
         raise ValueError("rank mismatch")
-    total = CycloNum.zero(n)
-    for perm, sign in _signed_permutations(k):
-        e = sum(lam[i] * sigma[perm[i]] for i in range(k))
-        term = zeta_pow(n, e)
-        total = total + (term if sign > 0 else -term)
-    return total
+    return _root_sum(
+        n,
+        (
+            (sum(lam[i] * sigma[perm[i]] for i in range(k)), sign)
+            for perm, sign in _signed_permutations(k)
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -313,11 +327,7 @@ def _sqrt_prime(p: int, n_field: int) -> CycloNum:
     if n_field % p != 0 or n_field % 4 != 0:
         raise ValueError(f"need 4p | n_field for sqrt({p})")
     step = n_field // p
-    gauss = reduce(
-        lambda acc, a: acc + zeta_pow(n_field, step * (a * a % p)),
-        range(p),
-        CycloNum.zero(n_field),
-    )
+    gauss = _root_sum(n_field, ((step * a * a, 1) for a in range(p)))
     if p % 4 == 1:
         return gauss
     # gauss^2 = -p here, divide by i

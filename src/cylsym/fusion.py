@@ -92,6 +92,8 @@ class FusionContext:
     """The alcove of (n, k) with tables built on first use: the monomial
     evaluations at zeta powers, read by the Verlinde route and the modular
     checks, and the integer fusion array, read by the table and the suites.
+    An evaluation at zeta^-sigma is read as the complex conjugate of the
+    stored one.
 
     A built table is never modified.  Two threads racing on first use may
     build the same table twice; both copies are equal.
@@ -109,17 +111,6 @@ class FusionContext:
         """msym[lam][sigma] = m_lam(zeta^sigma)."""
         return {
             a.parts: {s.parts: eval_msym(a.parts, s.parts, self.n) for s in self.alcove}
-            for a in self.alcove
-        }
-
-    @cached_property
-    def msym_neg(self) -> dict:
-        """msym_neg[lam][sigma] = m_lam(zeta^-sigma), the conjugate evaluation."""
-        return {
-            a.parts: {
-                s.parts: eval_msym(a.parts, tuple(-x for x in s.parts), self.n)
-                for s in self.alcove
-            }
             for a in self.alcove
         }
 
@@ -360,7 +351,8 @@ def s_matrix(ctx: FusionContext):
 
 
 def s_matrix_inverse_check(ctx: FusionContext) -> Report:
-    """S * S^{-1} = id with the inverse built from m_lam(zeta^{-mu})-type entries.
+    """S * S^{-1} = id with the inverse built from the conjugate entries
+    m_mu(zeta^{-nu}), read as the complex conjugates of m_mu(zeta^nu).
 
     With both scalings omitted the product must equal n^k times the identity;
     the middle index carries the stabiliser weight.
@@ -371,7 +363,8 @@ def s_matrix_inverse_check(ctx: FusionContext) -> Report:
         for nu in ctx.alcove:
             total = CycloNum.zero(n)
             for mu in ctx.alcove:
-                total = total + ctx.msym[lam.parts][mu.parts] * ctx.msym_neg[mu.parts][nu.parts]
+                conj = ctx.msym[mu.parts][nu.parts].conjugate()
+                total = total + ctx.msym[lam.parts][mu.parts] * conj
             expected = n**k if lam == nu else 0
             rep.run(
                 (total - CycloNum.from_rational(n, expected)).is_zero(),

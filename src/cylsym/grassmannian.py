@@ -40,7 +40,8 @@ from .symfunc import SymFunc, hall_inner, mn_character, multiply, schur_straight
 
 class GrassContext:
     """Gr(k, n): boxed and strict enumerations, plus the root-of-unity tables
-    that only the alternant route `gw_bvi` reads; those are built on first use."""
+    that only the alternant route `gw_bvi` reads; those are built on first use.
+    An alternant at zeta^-sigma is read as the complex conjugate of `alt`."""
 
     def __init__(self, n: int, k: int):
         if not 1 <= k < n:
@@ -62,16 +63,6 @@ class GrassContext:
     def alt(self) -> dict:
         return {
             lam.parts: {s.parts: eval_alternant(lam.parts, s.parts, self.n) for s in self.strict}
-            for lam in self.strict
-        }
-
-    @cached_property
-    def alt_neg(self) -> dict:
-        return {
-            lam.parts: {
-                s.parts: eval_alternant(lam.parts, tuple(-x for x in s.parts), self.n)
-                for s in self.strict
-            }
             for lam in self.strict
         }
 
@@ -112,7 +103,7 @@ def gw_bvi(ctx: GrassContext, lam, mu, nu, d: int) -> int:
     total = CycloNum.zero(ctx.n)
     for sigma in ctx.strict:
         s = sigma.parts
-        term = ctx.alt[ls][s] * ctx.alt[ms][s] * ctx.alt_neg[ns][s] * ctx.denom_inv[s]
+        term = ctx.alt[ls][s] * ctx.alt[ms][s] * ctx.alt[ns][s].conjugate() * ctx.denom_inv[s]
         total = total + term
     if (d * (ctx.k - 1)) % 2:
         total = -total

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -133,3 +134,32 @@ def test_conjugation():
             assert a.conjugate().conjugate() == a
         e = rng.randrange(0, n)
         assert zeta_pow(n, e).conjugate() == zeta_pow(n, -e)
+
+
+def test_composite_fields_and_value_equality():
+    # inverse and conjugation in composite fields past the n <= 12 grid above;
+    # Q(zeta_120) is the field of the (5,1) modular check
+    rng = random.Random(15)
+    for n in (15, 16, 20, 24, 120):
+        one = CycloNum.one(n)
+        for _ in range(4 if n < 100 else 2):
+            a, b = _random_elem(rng, n), _random_elem(rng, n)
+            if not a.is_zero():
+                assert a * a.inv() == one
+            assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    # equality and hashing are value equality, whatever the scaling
+    for n in (5, 12):
+        half = CycloNum(n, (Fraction(2, 4),) + (0,) * (euler_phi(n) - 1))
+        assert half == CycloNum.one(n) * Fraction(1, 2)
+        assert hash(half) == hash(CycloNum.one(n) * Fraction(1, 2))
+        a = _random_elem(rng, n) * Fraction(1, 6)
+        zeros = [
+            CycloNum(n, (Fraction(0, 7),) * euler_phi(n)),
+            a - a,
+            a * 0,
+            zeta_pow(n, 1) * Fraction(3, 9) - zeta_pow(n, 1 + n) * Fraction(1, 3),
+        ]
+        for zero in zeros:
+            assert zero == CycloNum.zero(n)
+            assert hash(zero) == hash(CycloNum.zero(n))
+        assert pickle.loads(pickle.dumps(a)) == a

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -50,6 +51,21 @@ def test_triple_route_equality(n, k):
                 verl = n_verlinde(ctx, lam, mu, nu)
                 red = n_reduce(ctx, nu, lam, mu)
                 assert count == verl == red, (lam, mu, nu)
+
+
+@pytest.mark.parametrize("n,k", [(5, 3), (5, 4)])
+def test_triple_route_equality_sampled(n, k):
+    # 200 seeded degree-law triples one size up from the full grids above
+    ctx = FusionContext(n, k)
+    rng = random.Random(n * 10 + k)
+    values = []
+    for _ in range(200):
+        lam, mu = rng.choice(ctx.alcove), rng.choice(ctx.alcove)
+        nu = rng.choice([a for a in ctx.alcove if (lam.size + mu.size - a.size) % n == 0])
+        count = n_count(nu, lam, mu)
+        assert count == n_verlinde(ctx, lam, mu, nu) == n_reduce(ctx, nu, lam, mu), (lam, mu, nu)
+        values.append(count)
+    assert any(values)
 
 
 def test_degree_law():

@@ -364,7 +364,7 @@ def test_default_table_matches_bvi_on_edges_and_samples():
         assert gw_table(ctx, 2).entries == gw_table(ctx, 2, route=gw_bvi).entries, (n, k)
     # seeded samples one box size up: half nonzero entries, half lawful triples
     rng = random.Random(20180515)
-    for n, k, dmax in [(7, 3, 2), (8, 3, 1)]:
+    for n, k, dmax in [(7, 3, 2), (8, 3, 1), (8, 4, 2)]:
         ctx = grass_context(n, k)
         table = gw_table(ctx, dmax)
         lawful = [
