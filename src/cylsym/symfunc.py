@@ -3,7 +3,11 @@
 Internally every product, pairing and coproduct pivots through the power-sum
 basis, where multiplication is concatenation of indices and the Hall pairing
 is diagonal.  Basis conversions are computed degree by degree with memoized
-expansions; the only triangular solve is monomial -> power sum.
+expansions; the triangular solve monomial -> power sum serves only
+conversions out of the monomial basis.  The antipode and omega of a monomial
+expansion stay in the monomial basis, in integers, by the antipode of
+quasisymmetric functions (Malvenuto-Reutenauer, J. Algebra 177, 1995;
+Ehrenborg, Adv. Math. 119, 1996).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, lcm
 
 from .partitions import (
     Partition,
@@ -25,6 +29,7 @@ from .partitions import (
     partition_from_betas,
     partitions_of,
     size,
+    stab_order,
     transfer,
     transfer_expansion,
     z_factor,
@@ -84,6 +89,8 @@ class SymFunc:
             return SymFunc.make(
                 self.basis, {lam: c * Fraction(other) for lam, c in self.coeffs}
             )
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         return multiply(self, other)
 
     __rmul__ = __mul__
@@ -202,8 +209,6 @@ def _m_to_p_solved(deg: int) -> dict[Partition, Coeffs]:
                 expr[rho] = expr.get(rho, Fraction(0)) - coef * c
         diag = row[lam]
         solved[lam] = _clean({rho: c / diag for rho, c in expr.items()})
-    # solved[lam] expresses m_lam in p after dividing by the diagonal; note the
-    # recursion subtracts R[lam][mu] * (m_mu in p) for dominance-larger mu
     return solved
 
 
@@ -314,17 +319,79 @@ def hall_inner(f: SymFunc, g: SymFunc) -> Fraction:
 
 
 def omega(f: SymFunc) -> SymFunc:
-    """Involution p_r -> (-1)^(r-1) p_r; swaps h and e."""
+    """Involution p_r -> (-1)^(r-1) p_r; swaps h and e.
+
+    On the monomial basis omega = (-1)^degree antipode, read off the integer
+    antipode rows; other bases pivot through p.
+    """
+    if f.basis == "m":
+        return _m_antipode(f, by_degree=True)
     out = {rho: c * _eps(rho) for rho, c in to_p(f).coeffs}
     return convert(SymFunc.make("p", out), f.basis)
 
 
 def antipode(f: SymFunc) -> SymFunc:
-    """Hopf antipode: p_r -> -p_r, so p_rho picks up (-1)^length."""
+    """Hopf antipode: p_r -> -p_r, so p_rho picks up (-1)^length.
+
+    Monomial input stays in the monomial basis through `_m_antipode_row`;
+    other bases pivot through p.
+    """
+    if f.basis == "m":
+        return _m_antipode(f, by_degree=False)
     out = {
         rho: c * (-1 if length(rho) % 2 else 1) for rho, c in to_p(f).coeffs
     }
     return convert(SymFunc.make("p", out), f.basis)
+
+
+def _m_antipode(f: SymFunc, by_degree: bool) -> SymFunc:
+    """Antipode of a monomial expansion, times (-1)^degree when by_degree.
+
+    S(m_lam) = (-1)^length(lam) sum_mu c_{lam mu} m_mu with the integer rows of
+    `_m_antipode_row`, so the sum runs in integers over the lcm of the input's
+    denominators, with one Fraction per output term.
+    """
+    den = lcm(*(c.denominator for _, c in f.coeffs))
+    acc: dict[Partition, int] = {}
+    for lam, c in f.coeffs:
+        a = c.numerator * (den // c.denominator)
+        if (len(lam) + (size(lam) if by_degree else 0)) % 2:
+            a = -a
+        for mu, r in _m_antipode_row(lam):
+            acc[mu] = acc.get(mu, 0) + a * r
+    return SymFunc.make("m", {mu: Fraction(v, den) for mu, v in acc.items() if v})
+
+
+def _m_antipode_row(lam: Partition) -> tuple:
+    """The (mu, c_{lam mu}) of S(m_lam) = (-1)^length(lam) sum_mu c_{lam mu} m_mu.
+
+    c_{lam mu} counts the distinct arrangements of lam's parts that cut into
+    consecutive blocks summing to mu_1, mu_2, ... in order.  This is the
+    quasisymmetric antipode S(M_alpha) = (-1)^length(alpha) sum M_beta over
+    the compositions beta coarser than alpha reversed (Malvenuto-Reutenauer,
+    J. Algebra 177, 1995; Ehrenborg, Adv. Math. 119, 1996), summed over the
+    arrangements alpha of lam.  The row is memoised as the unbounded state of
+    `_block_splits`.
+    """
+    return _block_splits(lam, size(lam))
+
+
+@lru_cache(maxsize=None)
+def _block_splits(lam: Partition, bound: int) -> tuple:
+    """Arrangements of lam cut into consecutive blocks with weakly decreasing
+    sums, the first at most bound, as (partition of block sums, count) pairs."""
+    if not lam:
+        return (((), 1),)
+    out: dict[Partition, int] = {}
+    for block, rest, _ in _p_splits(lam):
+        s = size(block)
+        if not block or s > bound:
+            continue
+        arrangements = factorial(len(block)) // stab_order(block)
+        for nu, c in _block_splits(rest, min(s, size(rest))):
+            key = (s,) + nu
+            out[key] = out.get(key, 0) + arrangements * c
+    return tuple(out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +454,12 @@ def tensor(f: SymFunc, g: SymFunc) -> TensorSymFunc:
 
 @lru_cache(maxsize=None)
 def _p_splits(rho: Partition) -> tuple:
-    """All multiset splits of rho with multinomial multiplicities."""
-    values = sorted(set(rho))
+    """All multiset splits of rho with multinomial multiplicities.
+
+    Values are taken in decreasing order, so both sides come out as partitions.
+    """
     splits = [((), (), 1)]
-    for v in values:
+    for v in sorted(set(rho), reverse=True):
         m = multiplicity(rho, v)
         new = []
         for left, right, mult in splits:
@@ -403,9 +472,7 @@ def _p_splits(rho: Partition) -> tuple:
                     )
                 )
         splits = new
-    return tuple(
-        (normalize(l), normalize(r), mult) for l, r, mult in splits
-    )
+    return tuple(splits)
 
 
 def coproduct(f: SymFunc, bases=("p", "p")) -> TensorSymFunc:

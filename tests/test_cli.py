@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cylsym import symfunc
 from cylsym.cli import main
 
 
@@ -114,6 +115,26 @@ def test_verify_symmetry_summary_line(capsys):
     code, out, _ = run(capsys, "verify", "symmetry", "--n", "5", "--k", "2")
     assert code == 0
     assert out == "fusion symmetries (n=5, k=2): 64800 checks, ok\n"
+
+
+def test_verify_coalgebra_summary_line(capsys):
+    code, out, _ = run(capsys, "verify", "coalgebra", "--n", "4", "--k", "3")
+    assert code == 0
+    assert out == "coalgebra (n=4, k=3): 1209 checks, ok\n"
+
+
+def test_verify_coalgebra_detects_a_wrong_antipode_row(capsys, monkeypatch):
+    row = symfunc._m_antipode_row
+
+    def flipped(lam):
+        # S(m_21) = m_21 + 2 m_3; the wrong row gives -m_21 + 2 m_3
+        return tuple((mu, -c if lam == mu == (2, 1) else c) for mu, c in row(lam))
+
+    monkeypatch.setattr(symfunc, "_m_antipode_row", flipped)
+    code, out, _ = run(capsys, "verify", "coalgebra", "--n", "3", "--k", "2")
+    assert code == 1
+    assert out.startswith("coalgebra (n=3, k=2): 90 checks, FAILED (")
+    assert "\n  first counterexample: antipode at " in out
 
 
 def test_verify_single_suite(capsys):

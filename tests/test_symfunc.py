@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cylsym.partitions import (
@@ -102,6 +103,15 @@ def test_multiply_commutative_associative():
     assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
 
 
+def test_scalar_multiplication_refuses_floats():
+    f = sym("m", (2, 1))
+    with pytest.raises(TypeError):
+        f * 1.5
+    with pytest.raises(TypeError):
+        1.5 * f
+    assert f * Fraction(3, 2) == 3 * f * Fraction(1, 2)
+
+
 # -- Hall pairing and Hopf structure -------------------------------------------
 
 
@@ -166,12 +176,22 @@ def test_antipode_and_omega():
     assert antipode(sym("h", (2, 1))) == sym("e", (2, 1)) * -1
     assert omega(sym("p", (2,))) == sym("p", (2,)) * -1
     assert omega(sym("p", (3,))) == sym("p", (3,))
+    # S(m_21) = m_21 + 2 m_3: the arrangements 21 and 12 both merge to 3
+    assert antipode(sym("m", (2, 1))).dict() == {(2, 1): 1, (3,): 2}
+    assert omega(sym("m", (1, 1))).dict() == {(2,): 1, (1, 1): 1}
+    assert antipode(sym("m", ())) == sym("m", ())
     for deg in range(0, 7):
         for lam in partitions_of(deg):
-            f = sym("h", lam)
-            assert omega(omega(f)) == f
-            assert antipode(antipode(f)) == f
-            assert hall_inner(omega(f), omega(sym("s", lam))) == hall_inner(f, sym("s", lam))
+            for basis in ("h", "m"):
+                f = sym(basis, lam)
+                assert omega(omega(f)) == f
+                assert antipode(antipode(f)) == f
+                assert hall_inner(omega(f), omega(sym("s", lam))) == hall_inner(f, sym("s", lam))
+    for lam in partitions_of(15):
+        f = sym("m", lam)
+        s_f = antipode(f)
+        assert s_f.basis == "m" and antipode(s_f) == f
+        assert omega(f) == s_f * -1
 
 
 # -- theta / psi and the skew functions ----------------------------------------
@@ -474,3 +494,20 @@ def test_equal_tensors_hash_equal(bases1, bases2, coeffs):
     u = t.to(bases2)
     assert t == u
     assert hash(t) == hash(u)
+
+
+PARTITIONS_TO_10 = [lam for m in range(11) for lam in partitions_of(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(PARTITIONS_TO_10),
+        st.builds(Fraction, st.integers(-49, 49), st.integers(1, 12)),
+        max_size=6,
+    )
+)
+def test_monomial_antipode_matches_power_sum_route(coeffs):
+    f = SymFunc.make("m", coeffs)
+    assert antipode(f).coeffs == antipode(f.to("p")).to("m").coeffs
+    assert omega(f).coeffs == omega(f.to("p")).to("m").coeffs
