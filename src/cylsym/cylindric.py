@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .affine import CylindricShape, is_valid_shape, is_vertical_strip, loop_value
+from .affine import CylindricShape, is_valid_shape, loop_value
 from .fusion import fusion_count
 from .partitions import (
     AlcoveWeight,
     Partition,
     Weight,
     _comb0,
+    _scan_successors,
     conjugate,
     distinct_permutations,
     enumerate_alcove,
@@ -36,6 +37,7 @@ from .partitions import (
 from .symfunc import SymFunc, TensorSymFunc, antipode, coproduct, tensor
 
 
+@lru_cache(maxsize=None)
 def _conj_padded(parts: Partition, n: int) -> tuple[int, ...]:
     """Conjugate padded to n entries; alcove parts never exceed n."""
     c = conjugate(parts)
@@ -203,25 +205,33 @@ def phi_cyl_oracle(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
 
 # ---------------------------------------------------------------------------
 # weighted CRPP counts through the layered transfer engine
+#
+# The kind of a CRPP names its one-step weight: theta for general layers, psi
+# for row-strict ones, phi for adjacent-column ones.  Ribbon layers are
+# adjacent-column layers between strict loops.
+
+KINDS = ("general", "row-strict", "adjacent-column", "ribbon")
+
+
+def _step(kind: str):
+    """The one-step weight of a CRPP kind, read from the module's names at
+    every call so that a rebound (say, instrumented) weight is the one used."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return {
+        "general": theta_cyl,
+        "row-strict": psi_cyl,
+        "adjacent-column": phi_cyl,
+        "ribbon": phi_cyl,
+    }[kind]
 
 
 @lru_cache(maxsize=None)
 def _successors(mu: AlcoveWeight, r: int, kind: str) -> tuple:
-    """All (lam, extra_degree, weight) with a nonzero one-step weight adding r boxes."""
-    n, k = mu.n, mu.k
-    step = {"theta": theta_cyl, "psi": psi_cyl, "phi": phi_cyl}[kind]
-    out = []
-    for de in range(0, (mu.size + r - k) // n + 1):
-        target_size = mu.size + r - n * de
-        if target_size < k or target_size > n * k:
-            continue
-        for lam in enumerate_alcove(n, k):
-            if lam.size != target_size:
-                continue
-            w = step(lam, de, mu)
-            if w:
-                out.append((lam, de, w))
-    return tuple(out)
+    """All (lam, extra_degree, weight) adding r boxes with a nonzero one-step
+    weight of the kind, by one scan of the alcove.  Ribbon layers come out as
+    the adjacent-column ones; their strictness is left to the CRPP walk."""
+    return _scan_successors(enumerate_alcove(mu.n, mu.k), mu, r, _step(kind))
 
 
 def _weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu, kind: str) -> int:
@@ -231,15 +241,15 @@ def _weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu, kind: str) -> int:
 
 def theta_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
     """Weighted count of CRPPs of shape lam/d/mu and weight nu."""
-    return _weight(lam, d, mu, nu, "theta")
+    return _weight(lam, d, mu, nu, "general")
 
 
 def psi_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
-    return _weight(lam, d, mu, nu, "psi")
+    return _weight(lam, d, mu, nu, "row-strict")
 
 
 def phi_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
-    return _weight(lam, d, mu, nu, "phi")
+    return _weight(lam, d, mu, nu, "adjacent-column")
 
 
 def _weight_expansion(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str) -> dict:
@@ -254,13 +264,13 @@ def _weight_expansion(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str) ->
 
 def cyl_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
     """Cylindric complete symmetric function, expanded over monomials."""
-    table = _weight_expansion(lam, d, mu, "theta")
+    table = _weight_expansion(lam, d, mu, "general")
     return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
 
 
 def cyl_e(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
     """Cylindric elementary symmetric function, expanded over monomials."""
-    table = _weight_expansion(lam, d, mu, "psi")
+    table = _weight_expansion(lam, d, mu, "row-strict")
     return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
 
 
@@ -288,7 +298,7 @@ def cyl_p_expand(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str = "h") -
     """Power-sum expansion via adjacent-column plane partitions."""
     if kind not in ("h", "e"):
         raise ValueError(kind)
-    table = _weight_expansion(lam, d, mu, "phi")
+    table = _weight_expansion(lam, d, mu, "adjacent-column")
     out = {}
     for nu, c in table.items():
         coef = Fraction(c, z_factor(nu))
@@ -341,9 +351,6 @@ def cyl_in_nonskew(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> dict:
 # explicit CRPPs
 
 
-KINDS = ("general", "row-strict", "adjacent-column", "ribbon")
-
-
 @dataclass(frozen=True)
 class Crpp:
     """Chain of cylindric loops (weight, offset) from the inner to the outer one."""
@@ -352,15 +359,18 @@ class Crpp:
     kind: str = "general"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        """Each layer needs a nonzero one-step weight of the kind; a ribbon
+        layer that adds boxes also needs both its loops strict."""
+        step = _step(self.kind)
         if len(self.loops) < 1:
             raise ValueError("a CRPP needs at least the inner loop")
         for (w1, e1), (w2, e2) in zip(self.loops, self.loops[1:]):
             w1.same_context(w2)
             if e2 < e1:
                 raise ValueError("offsets must be weakly increasing")
-            if not _step_allowed(w2, e2 - e1, w1, self.kind):
+            de, boxes = e2 - e1, w2.size - w1.size + w2.n * (e2 - e1)
+            strict = self.kind != "ribbon" or boxes == 0 or w1.is_strict() and w2.is_strict()
+            if not (strict and step(w2, de, w1)):
                 raise ValueError(
                     f"step {w1.parts}[{e1}] -> {w2.parts}[{e2}] is not a {self.kind} layer"
                 )
@@ -429,22 +439,6 @@ class Crpp:
         return "\n".join(lines)
 
 
-def _step_allowed(lam: AlcoveWeight, de: int, mu: AlcoveWeight, kind: str) -> bool:
-    if de < 0:
-        return False
-    if lam.size - mu.size + lam.n * de == 0:
-        return lam == mu and de == 0
-    if kind == "general":
-        return is_valid_shape(lam, de, mu)
-    if kind == "row-strict":
-        return is_vertical_strip(lam, de, mu)
-    if kind == "adjacent-column":
-        return phi_cyl(lam, de, mu) > 0
-    if kind == "ribbon":
-        return lam.is_strict() and mu.is_strict() and phi_cyl(lam, de, mu) > 0
-    raise ValueError(kind)
-
-
 def enumerate_crpp(
     lam: AlcoveWeight,
     d: int,
@@ -455,63 +449,45 @@ def enumerate_crpp(
 ):
     """All CRPPs of shape lam/d/mu, of fixed weight or with at most max_level layers.
 
+    One walk grows chains from (mu, 0) layer by layer through `_successors`:
+    with a weight it tries the one layer size the weight gives (a zero entry
+    repeats the loop), with max_level every size up to the boxes left.
     Output is sorted by the loop sequence so golden files stay stable.
     """
     lam.same_context(mu)
+    _step(kind)  # rejects an unknown kind
     if (weight is None) == (max_level is None):
         raise ValueError("provide exactly one of weight, max_level")
     if not is_valid_shape(lam, d, mu) or d < 0:
         return []
-    n, k = lam.n, lam.k
-    results = []
-
+    n = lam.n
+    end = (lam, d)
     if weight is not None:
         weight = tuple(weight)
         if sum(weight) != lam.size - mu.size + n * d:
             return []
+        max_level = len(weight)
+    results = []
 
-        def rec(chain, level):
-            if level == len(weight):
-                if chain[-1] == (lam, d):
-                    results.append(Crpp(chain, kind))
-                return
-            r = weight[level]
-            w1, e1 = chain[-1]
+    def rec(chain):
+        level = len(chain) - 1
+        if chain[-1] == end and (weight is None or level == max_level):
+            results.append(Crpp(chain, kind))
+        if level == max_level:
+            return
+        w1, e1 = chain[-1]
+        budget = lam.size + n * d - (w1.size + n * e1)
+        for r in range(1, budget + 1) if weight is None else (weight[level],):
             if r == 0:
-                rec(chain + ((w1, e1),), level + 1)
-                return
-            for w2, de, _ in _successors(w1, r, _engine_kind(kind)):
-                if e1 + de <= d and _step_allowed(w2, de, w1, kind):
-                    rec(chain + ((w2, e1 + de),), level + 1)
+                rec(chain + ((w1, e1),))
+                continue
+            for w2, de, _ in _successors(w1, r, kind):
+                if e1 + de <= d and (kind != "ribbon" or w1.is_strict() and w2.is_strict()):
+                    rec(chain + ((w2, e1 + de),))
 
-        rec(((mu, 0),), 0)
-    else:
-
-        def rec(chain, level):
-            if chain[-1] == (lam, d):
-                results.append(Crpp(chain, kind))
-            if level == max_level:
-                return
-            w1, e1 = chain[-1]
-            budget = lam.size + n * d - (w1.size + n * e1)
-            for r in range(1, budget + 1):
-                for w2, de, _ in _successors(w1, r, _engine_kind(kind)):
-                    if e1 + de <= d and _step_allowed(w2, de, w1, kind):
-                        rec(chain + ((w2, e1 + de),), level + 1)
-
-        rec(((mu, 0),), 0)
-
+    rec(((mu, 0),))
     key = lambda c: tuple((w.parts, e) for w, e in c.loops)
     return sorted(results, key=key)
-
-
-def _engine_kind(kind: str) -> str:
-    return {
-        "general": "theta",
-        "row-strict": "psi",
-        "adjacent-column": "phi",
-        "ribbon": "phi",
-    }[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +498,8 @@ def coproduct_cyl_check(
     lam: AlcoveWeight, d: int, mu: AlcoveWeight, degree_bound: int | None = None, kind: str = "h"
 ) -> bool:
     """Check Delta(f_{lam/d/mu}) = sum over d1+d2=d, nu of f_{lam/d1/nu} (x) f_{nu/d2/mu}."""
+    if kind not in ("h", "e"):
+        raise ValueError(kind)
     fn = cyl_h if kind == "h" else cyl_e
     lhs = coproduct(fn(lam, d, mu), bases=("m", "m"))
     rhs: dict = {}

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, factorial
 
 from .cyclotomic import CycloNum, eval_msym, sqrt_int, zeta_pow
 from .partitions import (
@@ -105,6 +105,7 @@ class FusionContext:
         self.alcove = enumerate_alcove(n, k)
         self.index = {a.parts: i for i, a in enumerate(self.alcove)}
         self.stab = {a.parts: stab_order(a.parts) for a in self.alcove}
+        self.orbit = {a.parts: a.quantum_dim() for a in self.alcove}
 
     @cached_property
     def msym(self) -> dict:
@@ -136,23 +137,27 @@ class FusionContext:
         return AlcoveWeight((self.n,) * self.k, self.n, self.k)
 
 
+def _alcove_sum(ctx: FusionContext, rows, dual: AlcoveWeight) -> CycloNum:
+    """sum_sigma prod_row m_row(z^s) * m^dual(z^s) / (n^k |S_sigma|), with
+    m^dual = |S_dual| m_dual.  The terms are taken times the integer k!/|S_sigma|,
+    so the sum stays integral until one |S_dual| / (n^k k!) scales it."""
+    total = CycloNum.zero(ctx.n)
+    for sigma in ctx.alcove:
+        s = sigma.parts
+        term = ctx.msym[dual.parts][s]
+        for lam in rows:
+            term = term * ctx.msym[lam.parts][s]
+        total = total + term * ctx.orbit[s]
+    return total * Fraction(ctx.stab[dual.parts], ctx.n**ctx.k * factorial(ctx.k))
+
+
 def n_verlinde(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu: AlcoveWeight) -> int:
     """Verlinde route: the pre-cancelled orthogonality sum over the alcove.
 
     N_{lam mu}^nu = sum_sigma m_lam(z^s) m_mu(z^s) m^{nu*}(z^s) / (n^k |S_sigma|),
     evaluated exactly in Q(zeta_n) and coerced to an integer.
     """
-    n, k = ctx.n, ctx.k
-    nu_star = nu.star()
-    total = CycloNum.zero(n)
-    for sigma in ctx.alcove:
-        term = (
-            ctx.msym[lam.parts][sigma.parts]
-            * ctx.msym[mu.parts][sigma.parts]
-            * ctx.msym[nu_star.parts][sigma.parts]
-        )
-        total = total + term * Fraction(ctx.stab[nu_star.parts], n**k * ctx.stab[sigma.parts])
-    return total.to_integer()
+    return _alcove_sum(ctx, (lam, mu), nu.star()).to_integer()
 
 
 def n_reduce(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:
@@ -324,16 +329,11 @@ def symmetry_suite(ctx: FusionContext) -> Report:
 def orthogonality_check(ctx: FusionContext) -> Report:
     """Scaled S-matrix orthogonality: the alcove sum of m_lam * m^{mu*} / (n^k |S_sigma|)."""
     rep = Report(f"monomial orthogonality (n={ctx.n}, k={ctx.k})")
-    n, k = ctx.n, ctx.k
     for lam in ctx.alcove:
         for mu in ctx.alcove:
-            mu_star = mu.star()
-            total = CycloNum.zero(n)
-            for sigma in ctx.alcove:
-                term = ctx.msym[lam.parts][sigma.parts] * ctx.msym[mu_star.parts][sigma.parts]
-                total = total + term * Fraction(ctx.stab[mu_star.parts], n**k * ctx.stab[sigma.parts])
+            total = _alcove_sum(ctx, (lam,), mu.star())
             expected = 1 if lam == mu else 0
-            ok = (total - CycloNum.from_rational(n, expected)).is_zero()
+            ok = (total - CycloNum.from_rational(ctx.n, expected)).is_zero()
             rep.run(ok, f"orthogonality at {lam.parts},{mu.parts}")
     return rep
 

@@ -18,6 +18,7 @@ from .partitions import (
     AlcoveWeight,
     BoxedPartition,
     Partition,
+    _scan_successors,
     beta_numbers,
     boxed_from_strict,
     conjugate,
@@ -270,18 +271,12 @@ def _strip_ok(lam: BoxedPartition, de: int, mu: BoxedPartition, row_strict: bool
 
 @lru_cache(maxsize=None)
 def _strip_successors(mu: BoxedPartition, r: int, row_strict: bool) -> tuple:
-    n, k = mu.n, mu.k
-    cap = k * (n - k)
-    out = []
-    de = 0
-    while mu.size + r - n * de >= 0:
-        target = mu.size + r - n * de
-        if target <= cap:
-            for lam in enumerate_boxed(n, k):
-                if lam.size == target and _strip_ok(lam, de, mu, row_strict):
-                    out.append((lam, de, 1))
-        de += 1
-    return tuple(out)
+    """(lam, winding, 1) for every strip of r boxes on mu, by one scan of the
+    boxed partitions with `_strip_ok` as a 0/1 step weight."""
+    return _scan_successors(
+        enumerate_boxed(mu.n, mu.k), mu, r,
+        lambda outer, de, inner: int(_strip_ok(outer, de, inner, row_strict)),
+    )
 
 
 def quantum_kostka(ctx: GrassContext, lam, d: int, mu, alpha, row_strict: bool = False) -> int:

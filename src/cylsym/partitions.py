@@ -196,6 +196,21 @@ def transfer_expansion(start, end, dmax: int, deg: int, successors, max_part: in
     return out
 
 
+def _scan_successors(states, mu, r: int, step) -> tuple:
+    """Every (lam, de, step(lam, de, mu)) with a nonzero weight over the states
+    of one cylinder: a layer of r boxes on mu ends at lam with the winding
+    de = (|mu| + r - |lam|) / n, so each state is visited once."""
+    total, n = mu.size + r, mu.n
+    out = []
+    for lam in states:
+        de, rem = divmod(total - lam.size, n)
+        if rem == 0 and de >= 0:
+            w = step(lam, de, mu)
+            if w:
+                out.append((lam, de, w))
+    return tuple(out)
+
+
 def distinct_permutations(mu: Weight):
     """All distinct rearrangements of a weight, as tuples."""
     return _distinct_perms_cached(tuple(sorted(mu, reverse=True)))

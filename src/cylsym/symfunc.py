@@ -2,12 +2,13 @@
 
 Internally every product, pairing and coproduct pivots through the power-sum
 basis, where multiplication is concatenation of indices and the Hall pairing
-is diagonal.  Basis conversions are computed degree by degree with memoized
-expansions; the triangular solve monomial -> power sum serves only
-conversions out of the monomial basis.  The antipode and omega of a monomial
-expansion stay in the monomial basis, in integers, by the antipode of
-quasisymmetric functions (Malvenuto-Reutenauer, J. Algebra 177, 1995;
-Ehrenborg, Adv. Math. 119, 1996).
+is diagonal.  Equality across bases and hashing pivot through the monomial
+basis, which power sums reach by integer Pieri rows.  Basis conversions are
+computed degree by degree with memoized expansions; the triangular solve
+monomial -> power sum serves only conversions out of the monomial basis.
+The antipode and omega of a monomial expansion stay in the monomial basis,
+in integers, by the antipode of quasisymmetric functions
+(Malvenuto-Reutenauer, J. Algebra 177, 1995; Ehrenborg, Adv. Math. 119, 1996).
 """
 
 from __future__ import annotations
@@ -100,11 +101,11 @@ class SymFunc:
             return NotImplemented
         if self.basis == other.basis:
             return self.coeffs == other.coeffs
-        return self.to("p").coeffs == other.to("p").coeffs
+        return self.to("m").coeffs == other.to("m").coeffs
 
     def __hash__(self):
-        # equality compares p-expansions across bases, so hashing must too
-        return hash(self.to("p").coeffs)
+        # equality compares m-expansions across bases, so hashing must too
+        return hash(self.to("m").coeffs)
 
     def to(self, basis: str) -> "SymFunc":
         return convert(self, basis)
@@ -438,10 +439,12 @@ class TensorSymFunc:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorSymFunc):
             return NotImplemented
-        return self.to(("p", "p")).coeffs == other.to(("p", "p")).coeffs
+        if self.bases == other.bases:
+            return self.coeffs == other.coeffs
+        return self.to(("m", "m")).coeffs == other.to(("m", "m")).coeffs
 
     def __hash__(self):
-        return hash(self.to(("p", "p")).coeffs)
+        return hash(self.to(("m", "m")).coeffs)
 
 
 def tensor(f: SymFunc, g: SymFunc) -> TensorSymFunc:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -6,6 +7,7 @@ import pytest
 
 from cylsym.affine import is_valid_shape
 from cylsym.cylindric import (
+    KINDS,
     Crpp,
     antipode_check,
     coproduct_cyl_check,
@@ -19,6 +21,7 @@ from cylsym.cylindric import (
     nonskew_cyl_h,
     phi_cyl,
     phi_cyl_oracle,
+    phi_weight,
     psi_cyl,
     psi_cyl_oracle,
     psi_weight,
@@ -322,6 +325,13 @@ def test_enumerate_crpp_single_row():
     assert out[0].theta_value() == theta_cyl(lam, 1, mu)
 
 
+def _phi_value(c: Crpp) -> int:
+    out = 1
+    for (w1, e1), (w2, e2) in zip(c.loops, c.loops[1:]):
+        out *= phi_cyl(w2, e2 - e1, w1)
+    return out
+
+
 def test_enumerate_crpp_weight_totals():
     lam = A43((4, 3, 2), 4, 3)
     mu = A43((2, 2, 1), 4, 3)
@@ -334,6 +344,51 @@ def test_enumerate_crpp_weight_totals():
     for nu in [(3, 3, 2), (3, 3, 1, 1)]:
         crpps = enumerate_crpp(lam, 1, mu, weight=nu, kind="row-strict")
         assert sum(c.psi_value() for c in crpps) == psi_weight(lam, 1, mu, nu)
+    # adjacent-column variants weighted by phi sum to the phi weight, and the
+    # ribbon ones are the adjacent-column ones whose loops are all strict
+    ribbons_seen = 0
+    strict_pair = (A43((4, 3, 1), 4, 3), A43((3, 2, 1), 4, 3))
+    for outer, inner in [(lam, mu), strict_pair, (A43((4, 2, 1), 4, 3),) * 2]:
+        for nu in partitions_of(outer.size - inner.size + 4):
+            crpps = enumerate_crpp(outer, 1, inner, weight=nu, kind="adjacent-column")
+            assert sum(_phi_value(c) for c in crpps) == phi_weight(outer, 1, inner, nu)
+            ribbons = enumerate_crpp(outer, 1, inner, weight=nu, kind="ribbon")
+            strict = [c for c in crpps if all(w.is_strict() for w, _ in c.loops)]
+            assert [c.loops for c in ribbons] == [c.loops for c in strict], (outer, inner, nu)
+            ribbons_seen += len(ribbons)
+    assert ribbons_seen
+
+
+def test_enumerate_crpp_pinned():
+    """The sorted loop sequences of all four kinds, in both modes, against a
+    digest of the enumeration before its walks were merged."""
+    h = hashlib.sha256()
+    for n, k, dmax, max_level in [(3, 2, 1, 2), (2, 2, 2, 3)]:
+        A = enumerate_alcove(n, k)
+        for kind in KINDS:
+            for lam in A:
+                for mu in A:
+                    for d in range(dmax + 1):
+                        deg = lam.size - mu.size + n * d
+                        weights = list(partitions_of(deg))
+                        weights += [w[::-1] + (0,) for w in weights]
+                        runs = [{"weight": w} for w in weights] + [{"max_level": max_level}]
+                        for run in runs:
+                            for c in enumerate_crpp(lam, d, mu, kind=kind, **run):
+                                loops = tuple((w.parts, e) for w, e in c.loops)
+                                h.update(repr((kind, run, loops)).encode())
+    assert h.hexdigest() == "50359c34dda66db95e2c64c714cd33b40ec3ff7665d27b7aee1ecdceee3bf7f2"
+
+
+def test_unknown_kinds_rejected():
+    lam = A43((4, 3, 2), 4, 3)
+    mu = A43((2, 2, 1), 4, 3)
+    with pytest.raises(ValueError):
+        enumerate_crpp(lam, 1, mu, weight=(8,), kind="bogus")
+    with pytest.raises(ValueError):
+        enumerate_crpp(mu, 0, lam, max_level=1, kind="bogus")  # an empty shape too
+    with pytest.raises(ValueError):
+        coproduct_cyl_check(lam, 0, mu, kind="x")
 
 
 def test_trivial_crpp():

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylsym import symfunc
 from cylsym.partitions import (
     distinct_permutations,
     partitions_of,
@@ -33,6 +34,7 @@ from cylsym.symfunc import (
     skew_e,
     skew_h,
     sym,
+    tensor,
     theta_flat,
     theta_weight_flat,
 )
@@ -494,6 +496,26 @@ def test_equal_tensors_hash_equal(bases1, bases2, coeffs):
     u = t.to(bases2)
     assert t == u
     assert hash(t) == hash(u)
+
+
+def test_monomial_hash_and_equality_skip_the_power_sum_solve(monkeypatch):
+    """Hashing and comparing monomial expansions pivot through m, so the
+    Fraction solve m -> p is never reached, even at degree 15."""
+
+    def refuse(deg):
+        raise AssertionError(f"power-sum solve at degree {deg}")
+
+    f = antipode(sym("m", (3, 3, 3, 3, 3)))
+    monkeypatch.setattr(symfunc, "_m_to_p_solved", refuse)
+    g = SymFunc.make("m", f.dict())
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    p15 = sym("p", (5, 5, 5))
+    assert p15 == p15.to("m") and hash(p15) == hash(p15.to("m"))
+    assert f != p15
+    t = tensor(f, p15.to("m"))
+    u = TensorSymFunc.make(("m", "m"), t.dict())
+    assert t == u and hash(t) == hash(u)
+    assert tensor(sym("p", (3,)), p15) == tensor(sym("p", (3,)).to("m"), p15.to("m"))
 
 
 PARTITIONS_TO_10 = [lam for m in range(11) for lam in partitions_of(m)]

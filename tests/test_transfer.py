@@ -29,7 +29,7 @@ def pointwise(deg, count, max_part=None):
 
 @pytest.mark.parametrize("n,k", GRIDS)
 def test_crpp_expansion_matches_pointwise(n, k):
-    routes = {"theta": theta_weight, "psi": psi_weight, "phi": phi_weight}
+    routes = {"general": theta_weight, "row-strict": psi_weight, "adjacent-column": phi_weight}
     A = enumerate_alcove(n, k)
     for lam in A:
         for mu in A:
