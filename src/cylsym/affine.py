@@ -239,14 +239,6 @@ def is_valid_shape(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> bool:
     return CylindricShape(lam, d, mu).is_valid()
 
 
-def is_vertical_strip(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> bool:
-    """Valid shape with at most one box in every row."""
-    shape = CylindricShape(lam, d, mu)
-    if not shape.is_valid():
-        return False
-    return all(c <= 1 for c in shape.row_counts())
-
-
 # ---------------------------------------------------------------------------
 # shifted (staircase) coordinates: loops on the cylinder of circumference n - k
 

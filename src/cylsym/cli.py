@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import fusion as fu
 from . import grassmannian as gr
@@ -224,7 +225,9 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cylsym",
         description="cylindric symmetric functions, fusion coefficients and Gromov-Witten invariants",

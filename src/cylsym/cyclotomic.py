@@ -148,6 +148,8 @@ class CycloNum:
             raise ValueError(f"mixing Q(zeta_{self.n}) and Q(zeta_{other.n})")
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
+        if not isinstance(other, CycloNum):
+            return NotImplemented
         self._check(other)
         a, b = self.den, other.den
         return CycloNum._of(
@@ -155,6 +157,8 @@ class CycloNum:
         )
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
+        if not isinstance(other, CycloNum):
+            return NotImplemented
         return self + -other
 
     def __neg__(self) -> "CycloNum":

@@ -1,8 +1,9 @@
 """Cylindric reverse plane partitions and the cylindric complete/elementary functions.
 
 Everything is organised around layered loop-to-loop transitions: a CRPP is a
-chain of cylindric loops, each step carrying a binomial weight (theta for
-general steps, psi for vertical strips, phi for adjacent-column strips).  The
+chain of cylindric loops, each step carrying a closed-form weight in the
+column counts (theta for general steps, psi for vertical strips, phi for
+adjacent-column strips).  The
 same transfer engine produces single weighted counts, full monomial expansions
 and explicit CRPP enumerations.
 """
@@ -13,15 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .affine import CylindricShape, is_valid_shape, loop_value
+from .affine import is_valid_shape, loop_value
 from .fusion import fusion_count
 from .partitions import (
     AlcoveWeight,
     Partition,
-    Weight,
     _comb0,
+    _conj_padded,
     _scan_successors,
-    conjugate,
     distinct_permutations,
     enumerate_alcove,
     multiplicity,
@@ -35,13 +35,6 @@ from .partitions import (
     z_factor,
 )
 from .symfunc import SymFunc, TensorSymFunc, antipode, coproduct, tensor
-
-
-@lru_cache(maxsize=None)
-def _conj_padded(parts: Partition, n: int) -> tuple[int, ...]:
-    """Conjugate padded to n entries; alcove parts never exceed n."""
-    c = conjugate(parts)
-    return tuple(c) + (0,) * (n - len(c))
 
 
 # ---------------------------------------------------------------------------
@@ -134,52 +127,39 @@ def psi_cyl_oracle(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
     return count
 
 
-def _loop_window(lam: AlcoveWeight, d: int) -> Weight:
-    """(lam . tau^d) restricted to [k]."""
-    return tuple(loop_value(lam, d, i) for i in range(1, lam.k + 1))
+@lru_cache(maxsize=None)
+def _phi_cyl(lam: Partition, d: int, mu: Partition, n: int) -> int:
+    r = sum(lam) - sum(mu) + n * d
+    if r <= 0:
+        return int(r == 0 and lam == mu)
+    if r % n == 0:
+        return len(lam) if lam == mu else 0
+    d_red = d - r // n
+    if d_red not in (0, 1):
+        return 0
+    e = [a + d_red - b for a, b in zip(_conj_padded(lam, n), _conj_padded(mu, n))]
+    if any(x not in (0, 1) for x in e):
+        return 0
+    starts = [c for c in range(n) if e[c] and not e[c - 1]]
+    if len(starts) != 1:
+        return 0
+    target = (starts[0] + r) % n
+    return sum(1 for p in lam if p % n == target)
 
 
 def phi_cyl(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
     """Adjacent-column-strip weight.
 
-    Recognition reduces the shape with tau^-1 until fewer than n boxes remain
-    (the reduced degree can only be 0 or 1), then checks for a horizontal strip
-    in adjacent columns.  The weight is the multiplicity, along one period of
-    the loop of lam.tau^d, of the value at the strip's last column.
+    With r boxes, a full turn (n | r) counts k times; otherwise the shape is
+    reduced with tau^-1 to r mod n boxes and degree d_red in {0, 1}, whose
+    column counts e_c = lam'_c + d_red - mu'_c must be 0 or 1 with the ones
+    in one cyclic run of columns.  The weight is the number of parts of lam
+    congruent mod n to a - 1 + r, a the first column of the run.
     """
     lam.same_context(mu)
-    n, k = lam.n, lam.k
     if d < 0:
         return 0
-    r = lam.size - mu.size + n * d
-    if r < 0:
-        return 0
-    if r == 0:
-        return 1 if lam == mu else 0
-    if r % n == 0:
-        return k if lam == mu else 0
-    r_red = r % n
-    d_red = d - (r - r_red) // n
-    if d_red not in (0, 1):
-        return 0
-    shape = CylindricShape(lam, d_red, mu)
-    if not shape.is_valid():
-        return 0
-    cols = shape.column_counts()
-    if any(c > 1 for c in cols.values()):
-        return 0
-    residues = set(cols)
-    if len(residues) != r_red:
-        return 0
-    starts = [a for a in residues if (a - 1) % n not in residues]
-    if len(starts) != 1:
-        return 0
-    a = starts[0]
-    if residues != {(a + t) % n for t in range(r_red)}:
-        return 0
-    target = (a - 1 + r) % n
-    window = _loop_window(lam, d)
-    return sum(1 for v in window if v % n == target)
+    return _phi_cyl(lam.parts, d, mu.parts, lam.n)
 
 
 def phi_cyl_oracle(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:

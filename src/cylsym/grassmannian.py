@@ -11,13 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .affine import CylindricShape, is_vertical_strip
 from .cyclotomic import CycloNum, eval_alternant
 from .fusion import CoeffTable, Report
 from .partitions import (
     AlcoveWeight,
     BoxedPartition,
     Partition,
+    _conj_padded,
     _scan_successors,
     beta_numbers,
     boxed_from_strict,
@@ -36,7 +36,7 @@ from .partitions import (
     transfer_expansion,
     z_factor,
 )
-from .symfunc import SymFunc, hall_inner, mn_character, multiply, schur_straighten, sym
+from .symfunc import SymFunc, hall_inner, multiply, schur_straighten, sym
 
 
 class GrassContext:
@@ -119,18 +119,8 @@ def gw_bvi(ctx: GrassContext, lam, mu, nu, d: int) -> int:
 
 
 def schur_product_coeff(mu: Partition, nu: Partition, sigma: Partition) -> Fraction:
-    """Littlewood-Richardson coefficient via the power-sum pivot."""
-    prod = multiply(sym("s", mu), sym("s", nu))
-    return _schur_coefficient(prod, sigma)
-
-
-def _schur_coefficient(f: SymFunc, sigma: Partition) -> Fraction:
-    fp = f.to("p")
-    total = Fraction(0)
-    for rho, c in fp.coeffs:
-        if size(rho) == size(sigma):
-            total += c * mn_character(sigma, rho)
-    return total
+    """Littlewood-Richardson coefficient via the power-sum pivot of `multiply`."""
+    return multiply(sym("s", mu), sym("s", nu))[sigma]
 
 
 @lru_cache(maxsize=None)
@@ -257,16 +247,23 @@ def level_rank_check(ctx: GrassContext, dmax: int = 2) -> Report:
 
 def _strip_ok(lam: BoxedPartition, de: int, mu: BoxedPartition, row_strict: bool) -> bool:
     """Is the shifted-cylinder shape lam/de/mu a vertical (row_strict) or a
-    horizontal strip?  It is the shape of the strict weights, read with the
-    same rows and with the diagonals (i + j) mod (n - k) as its columns."""
-    outer, inner = lam.to_strict(), mu.to_strict()
-    if row_strict:
-        return is_vertical_strip(outer, de, inner)
-    shape = CylindricShape(outer, de, inner)
-    if not shape.is_valid():
-        return False
-    diagonals = [(i + j) % (shape.n - shape.k) for i, j in shape.cells()]
-    return len(set(diagonals)) == len(diagonals)
+    horizontal strip?  Read off the column counts of the strict weights
+    lam~ = lam + rho and mu~ = mu + rho, padded to n + 1 entries: with
+    m_c = lam~'_c - lam~'_(c+1) in {0, 1} and e_c = lam~'_c + de - mu~'_c, a
+    vertical strip has 0 <= e_c <= m_c (psi != 0), and a horizontal strip, a
+    vertical strip of the conjugates in Gr(n-k, n), has 0 <= e_(c+1) <= 1 - m_c,
+    for c = 1..n (e_(n+1) = de = e_1)."""
+    n = lam.n
+    lamc = _conj_padded(lam.to_strict().parts, n + 1)
+    muc = _conj_padded(mu.to_strict().parts, n + 1)
+    for c in range(n):
+        m = lamc[c] - lamc[c + 1]
+        if row_strict:
+            if not 0 <= lamc[c] + de - muc[c] <= m:
+                return False
+        elif not 0 <= lamc[c + 1] + de - muc[c + 1] <= 1 - m:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -56,6 +56,15 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for x in lam if x >= i) for i in range(1, lam[0] + 1))
 
 
+@lru_cache(maxsize=None)
+def _conj_padded(parts: Partition, n: int) -> tuple[int, ...]:
+    """Column counts lam'_1, ..., lam'_n: the conjugate padded with zeros to n
+    entries, for parts at most n (alcove and strict weights).  The cylindric
+    step weights and strips are conditions on lam'_c + d - mu'_c."""
+    c = conjugate(parts)
+    return tuple(c) + (0,) * (n - len(c))
+
+
 def multiplicity(lam, value: int) -> int:
     return sum(1 for x in lam if x == value)
 

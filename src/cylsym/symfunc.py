@@ -75,6 +75,8 @@ class SymFunc:
         return {size(lam) for lam, _ in self.coeffs}
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         if self.basis != other.basis:
             other = other.to(self.basis)
         out = dict(self.coeffs)
@@ -83,6 +85,8 @@ class SymFunc:
         return SymFunc.make(self.basis, out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         return self + (other * -1)
 
     def __mul__(self, other):
@@ -415,6 +419,8 @@ class TensorSymFunc:
         return dict(self.coeffs)
 
     def __add__(self, other: "TensorSymFunc") -> "TensorSymFunc":
+        if not isinstance(other, TensorSymFunc):
+            return NotImplemented
         if self.bases != other.bases:
             other = other.to(self.bases)
         out = dict(self.coeffs)

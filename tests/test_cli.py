@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cylsym import symfunc
-from cylsym.cli import main
+from cylsym.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -181,3 +181,14 @@ def test_negative_degree_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_parser_built_once_serves_every_call(capsys):
+    parser = build_parser()
+    assert run(capsys, "gw", "--n", "4")[0] == 2
+    assert run(capsys, "fusion", "--n", "3", "--k", "2", "--dmax", "0")[0] == 0
+    code, out, _ = run(capsys, "fusion", "--n", "3", "--k", "2")
+    assert build_parser() is parser
+    build_parser.cache_clear()
+    assert (code, out) == run(capsys, "fusion", "--n", "3", "--k", "2")[:2]
+    assert build_parser() is not parser

@@ -59,7 +59,7 @@ def test_theta_reduces_to_flat_at_degree_zero():
                 assert psi_cyl(lam, 0, mu) == psi_flat(lam.parts, mu.parts)
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (4, 3)])
 def test_formula_vs_oracle(n, k):
     for lam in enumerate_alcove(n, k):
         for mu in enumerate_alcove(n, k):

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 import cylsym
+from cylsym.affine import CylindricShape
+from cylsym.cylindric import phi_cyl, phi_cyl_oracle, psi_cyl
 from cylsym.fusion import CoeffTable
 from cylsym.grassmannian import (
     chi_matrix_check,
@@ -33,6 +35,7 @@ from cylsym.grassmannian import _strip_ok
 from cylsym.partitions import (
     BoxedPartition,
     conjugate,
+    enumerate_alcove,
     partitions_of,
     partitions_with_core,
 )
@@ -126,6 +129,37 @@ def test_quantum_pieri_matches_horizontal_strips():
                     d = total // n
                     expect = 1 if _strip_ok(lam, d, mu, row_strict) else 0
                     assert gw_bvi(ctx, factor, mu, lam, d) == expect, (n, k, parts, lam.parts, mu.parts, d)
+
+
+def test_closed_forms_match_the_cell_geometry():
+    # strips and step weights are read off column counts; the cells of the
+    # CylindricShape stay the independent reference
+    for n, k in [(6, 3), (7, 2), (7, 3)]:
+        ctx = grass_context(n, k)
+        for lam in ctx.boxed:
+            for mu in ctx.boxed:
+                for de in range(4):
+                    shape = CylindricShape(lam.to_strict(), de, mu.to_strict())
+                    valid = shape.is_valid()
+                    diagonals = [(i + j) % (n - k) for i, j in shape.cells()]
+                    vertical = valid and max(shape.row_counts()) <= 1
+                    horizontal = valid and len(set(diagonals)) == len(diagonals)
+                    assert _strip_ok(lam, de, mu, True) == vertical
+                    assert _strip_ok(lam, de, mu, False) == horizontal
+    rng = random.Random(9)
+    for n, k in [(7, 3), (6, 4)]:
+        alcove = enumerate_alcove(n, k)
+        hits = [0, 0]
+        for _ in range(400):
+            lam, mu, d = rng.choice(alcove), rng.choice(alcove), rng.randint(0, 4)
+            phi = phi_cyl(lam, d, mu)
+            assert phi == phi_cyl_oracle(lam, d, mu), (lam.parts, d, mu.parts)
+            shape = CylindricShape(lam, d, mu)
+            vertical = shape.is_valid() and max(shape.row_counts()) <= 1
+            assert (psi_cyl(lam, d, mu) > 0) == vertical, (lam.parts, d, mu.parts)
+            hits[0] += phi > 0
+            hits[1] += vertical
+        assert all(hits), (n, k, hits)
 
 
 # -- quantum Kostka numbers ------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cylsym import symfunc
+from cylsym.cyclotomic import CycloNum
 from cylsym.partitions import (
     distinct_permutations,
     partitions_of,
@@ -112,6 +113,23 @@ def test_scalar_multiplication_refuses_floats():
     with pytest.raises(TypeError):
         1.5 * f
     assert f * Fraction(3, 2) == 3 * f * Fraction(1, 2)
+
+
+def test_foreign_sums_raise_type_error():
+    f = sym("m", (2, 1))
+    t = tensor(f, sym("s", (1,)))
+    for x in (CycloNum.one(5), f, t):
+        for other in (1, Fraction(1, 2), "x"):
+            with pytest.raises(TypeError):
+                x + other
+            with pytest.raises(TypeError):
+                x - other
+            with pytest.raises(TypeError):
+                other + x
+    with pytest.raises(ValueError):
+        CycloNum.one(5) + CycloNum.one(7)
+    with pytest.raises(ValueError):
+        CycloNum.one(5) - CycloNum.one(7)
 
 
 # -- Hall pairing and Hopf structure -------------------------------------------
