@@ -133,15 +133,15 @@ def _suite_formula_oracle(n: int, k: int) -> fu.Report:
             for d in range(0, 4):
                 rep.run(
                     theta_cyl(lam, d, mu) == theta_cyl_oracle(lam, d, mu),
-                    f"theta at {lam.parts}/{d}/{mu.parts}",
+                    "theta at {}/{}/{}", lam.parts, d, mu.parts,
                 )
                 rep.run(
                     psi_cyl(lam, d, mu) == psi_cyl_oracle(lam, d, mu),
-                    f"psi at {lam.parts}/{d}/{mu.parts}",
+                    "psi at {}/{}/{}", lam.parts, d, mu.parts,
                 )
                 rep.run(
                     phi_cyl(lam, d, mu) == phi_cyl_oracle(lam, d, mu),
-                    f"phi at {lam.parts}/{d}/{mu.parts}",
+                    "phi at {}/{}/{}", lam.parts, d, mu.parts,
                 )
     return rep
 
@@ -157,7 +157,10 @@ def _suite_route_equivalence(n: int, k: int) -> fu.Report:
                 a = fu.n_count(nu, lam, mu)
                 b = fu.n_verlinde(ctx, lam, mu, nu)
                 c = fu.n_reduce(ctx, nu, lam, mu)
-                rep.run(a == b == c, f"routes at {lam.parts},{mu.parts},{nu.parts}: {a},{b},{c}")
+                rep.run(
+                    a == b == c, "routes at {},{},{}: {},{},{}",
+                    lam.parts, mu.parts, nu.parts, a, b, c,
+                )
     if 1 <= k < n:
         gctx = gr.grass_context(n, k)
         for lam in gctx.boxed:
@@ -169,7 +172,7 @@ def _suite_route_equivalence(n: int, k: int) -> fu.Report:
                     d = total // n
                     rep.run(
                         gr.gw_bvi(gctx, lam, mu, nu, d) == gr.gw_ribbon(gctx, lam, mu, nu, d),
-                        f"GW routes at {lam.parts},{mu.parts},{nu.parts},{d}",
+                        "GW routes at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
                     )
     return rep
 
@@ -179,15 +182,17 @@ def _suite_coalgebra(n: int, k: int) -> fu.Report:
     alcove = enumerate_alcove(n, k)
     for lam in alcove:
         for mu in alcove:
-            rep.run(antipode_check(lam, 1, mu), f"antipode at {lam.parts}/1/{mu.parts}")
+            rep.run(antipode_check(lam, 1, mu), "antipode at {}/1/{}", lam.parts, mu.parts)
             for (sigma, e), c in cyl_in_nonskew(lam, 1, mu).items():
-                rep.run(c >= 0, f"positivity at {lam.parts}/1/{mu.parts} -> {sigma.parts},{e}")
+                rep.run(
+                    c >= 0, "positivity at {}/1/{} -> {},{}", lam.parts, mu.parts, sigma.parts, e
+                )
     small = alcove[: min(3, len(alcove))]
     for lam in small:
         for mu in small:
             rep.run(
                 coproduct_cyl_check(lam, 1, mu, degree_bound=5),
-                f"coproduct at {lam.parts}/1/{mu.parts}",
+                "coproduct at {}/1/{}", lam.parts, mu.parts,
             )
     return rep
 

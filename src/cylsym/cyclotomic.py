@@ -249,17 +249,21 @@ def zeta_pow(n: int, e: int) -> CycloNum:
 # specialised evaluations
 
 
+def msym_exponents(lam, p: Weight, n: int) -> list[int]:
+    """m_lam(zeta^p) in the group ring Z[x]/(x^n - 1): entry e counts the
+    distinct permutations alpha of lam (padded to len(p)) with p . alpha = e mod n."""
+    padded = tuple(lam) + (0,) * (len(p) - len(lam))
+    if len(padded) != len(p):
+        raise ValueError(f"{lam} has more than {len(p)} parts")
+    counts = [0] * n
+    for alpha in distinct_permutations(padded):
+        counts[sum(pi * ai for pi, ai in zip(p, alpha)) % n] += 1
+    return counts
+
+
 def eval_msym(lam, p: Weight, n: int) -> CycloNum:
-    """Monomial symmetric function at zeta powers: sum over distinct permutations
-    alpha of lam (padded to len(p)) of zeta^(p . alpha)."""
-    k = len(p)
-    padded = tuple(lam) + (0,) * (k - len(lam))
-    if len(padded) != k:
-        raise ValueError(f"{lam} has more than {k} parts")
-    return _root_sum(
-        n,
-        ((sum(pi * ai for pi, ai in zip(p, alpha)), 1) for alpha in distinct_permutations(padded)),
-    )
+    """Monomial symmetric function at zeta powers: msym_exponents reduced by Phi_n."""
+    return CycloNum._of(n, _reduce_mod_phi(msym_exponents(lam, p, n), n))
 
 
 def eval_alternant(lam: Weight, sigma: Weight, n: int) -> CycloNum:

@@ -12,11 +12,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial
+from operator import mul
 
-from .cyclotomic import CycloNum, eval_msym, sqrt_int, zeta_pow
+from .cyclotomic import CycloNum, NonIntegralError, eval_msym, msym_exponents, sqrt_int, zeta_pow
+from .cyclotomic import _reduce_mod_phi
 from .partitions import (
     AlcoveWeight,
     Partition,
@@ -43,10 +44,11 @@ class Report:
     def ok(self) -> bool:
         return not self.failures
 
-    def run(self, condition: bool, witness: str):
+    def run(self, condition: bool, witness: str, *args):
+        """Count one check; on failure record witness.format(*args)."""
         self.checks += 1
         if not condition:
-            self.failures.append(witness)
+            self.failures.append(witness.format(*args))
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"FAILED ({len(self.failures)})"
@@ -80,6 +82,8 @@ def n_count(lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:
     nu may be any dominant weight of rank at most k (parts may repeat or exceed n).
     """
     lam.same_context(mu)
+    if isinstance(nu, AlcoveWeight):
+        lam.same_context(nu)
     nu_parts = nu.parts if isinstance(nu, AlcoveWeight) else normalize(nu)
     return fusion_count(lam.parts, mu.parts, nu_parts, lam.n, lam.k)
 
@@ -90,10 +94,10 @@ def n_count(lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:
 
 class FusionContext:
     """The alcove of (n, k) with tables built on first use: the monomial
-    evaluations at zeta powers, read by the Verlinde route and the modular
-    checks, and the integer fusion array, read by the table and the suites.
-    An evaluation at zeta^-sigma is read as the complex conjugate of the
-    stored one.
+    evaluations at zeta powers, read by the modular checks, their exponent
+    counts, read by the Verlinde route and the orthogonality check, and the
+    integer fusion array, read by the table and the suites.  An evaluation
+    at zeta^-sigma is read as the complex conjugate of the stored one.
 
     A built table is never modified.  Two threads racing on first use may
     build the same table twice; both copies are equal.
@@ -104,8 +108,10 @@ class FusionContext:
         self.k = k
         self.alcove = enumerate_alcove(n, k)
         self.index = {a.parts: i for i, a in enumerate(self.alcove)}
-        self.stab = {a.parts: stab_order(a.parts) for a in self.alcove}
         self.orbit = {a.parts: a.quantum_dim() for a in self.alcove}
+        self.scale = n**k * factorial(k)
+        self._duals = {}
+        self._product = lru_cache(maxsize=1)(self._convolve)  # callers walk nu innermost
 
     @cached_property
     def msym(self) -> dict:
@@ -114,6 +120,12 @@ class FusionContext:
             a.parts: {s.parts: eval_msym(a.parts, s.parts, self.n) for s in self.alcove}
             for a in self.alcove
         }
+
+    @cached_property
+    def msym_counts(self) -> dict:
+        """msym_counts[lam][i] = m_lam(zeta^sigma) in Z[x]/(x^n - 1), sigma = alcove[i]."""
+        A = self.alcove
+        return {a.parts: [msym_exponents(a.parts, s.parts, self.n) for s in A] for a in A}
 
     @cached_property
     def fusion(self) -> list:
@@ -136,45 +148,63 @@ class FusionContext:
     def unit(self) -> AlcoveWeight:
         return AlcoveWeight((self.n,) * self.k, self.n, self.k)
 
+    def _check(self, *weights):
+        for w in weights:
+            if isinstance(w, AlcoveWeight):
+                self.alcove[0].same_context(w)
 
-def _alcove_sum(ctx: FusionContext, rows, dual: AlcoveWeight) -> CycloNum:
-    """sum_sigma prod_row m_row(z^s) * m^dual(z^s) / (n^k |S_sigma|), with
-    m^dual = |S_dual| m_dual.  The terms are taken times the integer k!/|S_sigma|,
-    so the sum stays integral until one |S_dual| / (n^k k!) scales it."""
-    total = CycloNum.zero(ctx.n)
-    for sigma in ctx.alcove:
-        s = sigma.parts
-        term = ctx.msym[dual.parts][s]
-        for lam in rows:
-            term = term * ctx.msym[lam.parts][s]
-        total = total + term * ctx.orbit[s]
-    return total * Fraction(ctx.stab[dual.parts], ctx.n**ctx.k * factorial(ctx.k))
+    def _convolve(self, lam: Partition, mu: Partition) -> list[int]:
+        """m_lam * m_mu at every sigma in Z[x]/(x^n - 1), flattened over (sigma, i)."""
+        out = []
+        for a, b in zip(self.msym_counts[lam], self.msym_counts[mu]):
+            conv = [0] * self.n
+            for i, x in enumerate(a):
+                if x:
+                    conv = [c + x * y for c, y in zip(conv, b[-i:] + b[:-i])]
+            out += conv
+        return out
+
+    def _contract(self, p: list[int], nu: AlcoveWeight) -> list[int]:
+        """The residue mod Phi_n of sum_(sigma, i) p[sigma, i] x^i m^{nu*}(x^sigma) k!/|S_sigma|,
+        as phi(n) dot products with the dual vectors of nu, built once per nu."""
+        if nu.parts not in self._duals:
+            star = nu.star().parts
+            cols = []
+            for s, e in zip(self.alcove, self.msym_counts[star]):
+                e = [stab_order(star) * self.orbit[s.parts] * c for c in e]
+                cols += [_reduce_mod_phi(e[-i:] + e[:-i], self.n) for i in range(self.n)]
+            self._duals[nu.parts] = list(zip(*cols))
+        return [sum(map(mul, p, q)) for q in self._duals[nu.parts]]
 
 
 def n_verlinde(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu: AlcoveWeight) -> int:
     """Verlinde route: the pre-cancelled orthogonality sum over the alcove.
 
     N_{lam mu}^nu = sum_sigma m_lam(z^s) m_mu(z^s) m^{nu*}(z^s) / (n^k |S_sigma|),
-    evaluated exactly in Q(zeta_n) and coerced to an integer.
+    with m^{nu*} = |S_nu*| m_nu*, times n^k k! is one integer contraction in
+    Z[x]/(x^n - 1) reduced by Phi_n; a non-integral value raises NonIntegralError.
     """
-    return _alcove_sum(ctx, (lam, mu), nu.star()).to_integer()
+    ctx._check(lam, mu, nu)
+    r = ctx._contract(ctx._product(lam.parts, mu.parts), nu)
+    value, rem = divmod(r[0], ctx.scale)
+    if rem or any(r[1:]):
+        raise NonIntegralError(CycloNum._of(ctx.n, r, ctx.scale), "Verlinde sum")
+    return value
 
 
 def n_reduce(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:
     """Reduction route: pull a dominant nu back into the alcove by multinomials."""
+    ctx._check(lam, mu, nu)
     nu_parts = nu.parts if isinstance(nu, AlcoveWeight) else normalize(nu)
     padded = tuple(nu_parts) + (0,) * (ctx.k - len(nu_parts))
     if len(padded) != ctx.k:
         raise ValueError(f"{nu_parts} has more than {ctx.k} parts")
     nu_check, _ = reduce_to_alcove(padded, ctx.n, ctx.k)
-    mult = comb_multinomial(
-        multiplicity(nu_check.parts, ctx.n),
-        [multiplicity(padded, j) for j in range(0, max(padded) + ctx.n + 1, ctx.n)],
-    )
-    for i in range(1, ctx.n):
+    mult = 1
+    for i in range(1, ctx.n + 1):
         mult *= comb_multinomial(
             multiplicity(nu_check.parts, i),
-            [multiplicity(padded, i + j) for j in range(0, max(padded) + ctx.n + 1, ctx.n)],
+            [multiplicity(padded, v) for v in range(i % ctx.n, max(padded) + 1, ctx.n)],
         )
     base = fusion_count(lam.parts, mu.parts, nu_check.parts, ctx.n, ctx.k)
     return base * mult
@@ -286,24 +316,24 @@ def symmetry_suite(ctx: FusionContext) -> Report:
         for j, mu in enumerate(A):
             rep.run(
                 N[i][u][j] == (1 if i == j else 0),
-                f"unit: N_({lam.parts},{unit.parts})^{mu.parts}",
+                "unit: N_({},{})^{}", lam.parts, unit.parts, mu.parts,
             )
             expect = qd[i] if star[i] == j else 0
-            rep.run(N[i][j][u] == expect, f"eta: N_({lam.parts},{mu.parts})^{unit.parts}")
+            rep.run(N[i][j][u] == expect, "eta: N_({},{})^{}", lam.parts, mu.parts, unit.parts)
             for l, nu in enumerate(A):
                 v = N[i][j][l]
-                rep.run(v == N[j][i][l], f"commutativity at {lam.parts},{mu.parts},{nu.parts}")
+                rep.run(v == N[j][i][l], "commutativity at {},{},{}", lam.parts, mu.parts, nu.parts)
                 rep.run(
                     v == N[star[i]][star[j]][star[l]],
-                    f"star covariance at {lam.parts},{mu.parts},{nu.parts}",
+                    "star covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
                 )
                 rep.run(
                     v * qd[l] == qd[i] * N[j][star[l]][star[i]],
-                    f"dual symmetry at {lam.parts},{mu.parts},{nu.parts}",
+                    "dual symmetry at {},{},{}", lam.parts, mu.parts, nu.parts,
                 )
                 rep.run(
                     v == N[rot1[i]][rot2[j]][rot3[l]],
-                    f"rotation covariance at {lam.parts},{mu.parts},{nu.parts}",
+                    "rotation covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
                 )
     # the quantum dimension sum rule, and associativity as the fusion-matrix
     # identity sum_s N_{lam mu}^s N_s = N_mu N_lam with (N_x)[a][b] = N_{xa}^b
@@ -311,7 +341,7 @@ def symmetry_suite(ctx: FusionContext) -> Report:
         for j, mu in enumerate(A):
             rep.run(
                 qd[i] * qd[j] == sum(c * q for c, q in zip(N[i][j], qd)),
-                f"dimension rule at {lam.parts},{mu.parts}",
+                "dimension rule at {},{}", lam.parts, mu.parts,
             )
             lam_mu = [(s, c) for s, c in enumerate(N[i][j]) if c]
             for l, nu in enumerate(A):
@@ -321,20 +351,21 @@ def symmetry_suite(ctx: FusionContext) -> Report:
                     right = sum(c * N[i][s][r] for s, c in mu_nu)
                     rep.run(
                         left == right,
-                        f"associativity at {lam.parts},{mu.parts},{nu.parts},{rho.parts}",
+                        "associativity at {},{},{},{}", lam.parts, mu.parts, nu.parts, rho.parts,
                     )
     return rep
 
 
 def orthogonality_check(ctx: FusionContext) -> Report:
-    """Scaled S-matrix orthogonality: the alcove sum of m_lam * m^{mu*} / (n^k |S_sigma|)."""
+    """Scaled S-matrix orthogonality: the alcove sum of m_lam * m^{mu*} / (n^k |S_sigma|),
+    read off the contraction of the Verlinde route with m_lam in place of m_lam m_mu."""
     rep = Report(f"monomial orthogonality (n={ctx.n}, k={ctx.k})")
     for lam in ctx.alcove:
+        flat = [c for e in ctx.msym_counts[lam.parts] for c in e]
         for mu in ctx.alcove:
-            total = _alcove_sum(ctx, (lam,), mu.star())
-            expected = 1 if lam == mu else 0
-            ok = (total - CycloNum.from_rational(ctx.n, expected)).is_zero()
-            rep.run(ok, f"orthogonality at {lam.parts},{mu.parts}")
+            r = ctx._contract(flat, mu)
+            ok = not any(r[1:]) and r[0] == (ctx.scale if lam == mu else 0)
+            rep.run(ok, "orthogonality at {},{}", lam.parts, mu.parts)
     return rep
 
 
@@ -365,11 +396,8 @@ def s_matrix_inverse_check(ctx: FusionContext) -> Report:
             for mu in ctx.alcove:
                 conj = ctx.msym[mu.parts][nu.parts].conjugate()
                 total = total + ctx.msym[lam.parts][mu.parts] * conj
-            expected = n**k if lam == nu else 0
-            rep.run(
-                (total - CycloNum.from_rational(n, expected)).is_zero(),
-                f"inverse at {lam.parts},{nu.parts}",
-            )
+            ok = total == CycloNum.from_rational(n, n**k if lam == nu else 0)
+            rep.run(ok, "inverse at {},{}", lam.parts, nu.parts)
     return rep
 
 
@@ -388,7 +416,7 @@ def t_unitarity_check(ctx: FusionContext) -> Report:
     rep = Report(f"T unitarity (n={ctx.n}, k={ctx.k})")
     for lam, t in t_matrix(ctx):
         val = t * t.conjugate()
-        rep.run(val.to_integer() == 1, f"|T|^2 at {lam.parts}")
+        rep.run(val.to_integer() == 1, "|T|^2 at {}", lam.parts)
     return rep
 
 
@@ -457,20 +485,17 @@ def frobenius_suite(ctx: FusionContext) -> Report:
         for mu in A:
             v = fusion_count(unit.parts, lam.parts, mu.parts, n, k)
             expect = lam.quantum_dim() if lam.star() == mu else 0
-            rep.run(v == expect, f"eta entry at {lam.parts},{mu.parts}")
+            rep.run(v == expect, "eta entry at {},{}", lam.parts, mu.parts)
             if v:
                 nonzero.append(mu)
-        rep.run(len(nonzero) == 1, f"eta row at {lam.parts} is monomial")
+        rep.run(len(nonzero) == 1, "eta row at {} is monomial", lam.parts)
     # the ideal generators p_{n+r} - p_r vanish at every alcove evaluation point
     for sigma in A:
         for r in range(0, k):
             val = _power_sum_eval(sigma.parts, n + r, n) - _power_sum_eval(sigma.parts, r, n)
-            rep.run(val.is_zero(), f"ideal generator p_{n + r} - p_{r} at {sigma.parts}")
+            rep.run(val.is_zero(), "ideal generator p_{} - p_{} at {}", n + r, r, sigma.parts)
         p_n = _power_sum_eval(sigma.parts, n, n)
-        rep.run(
-            (p_n - CycloNum.from_rational(n, k)).is_zero(),
-            f"p_n = k at {sigma.parts}",
-        )
+        rep.run(p_n == CycloNum.from_rational(n, k), "p_n = k at {}", sigma.parts)
     return rep
 
 
@@ -498,5 +523,5 @@ def mfusion_pointwise_check(ctx: FusionContext, samples: int = 50, seed: int = 7
             c = fusion_count(nu.parts, lam.parts, mu.parts, n, k)
             if c:
                 rhs = rhs + eval_msym(nu.parts, p, n) * c
-        rep.run((lhs - rhs).is_zero(), f"pointwise at {lam.parts},{mu.parts},p={p}")
+        rep.run((lhs - rhs).is_zero(), "pointwise at {},{},p={}", lam.parts, mu.parts, p)
     return rep

@@ -208,7 +208,7 @@ def gw_symmetry_suite(ctx: GrassContext, table: CoeffTable, dmax: int) -> Report
         for mu in ctx.boxed:
             rep.run(
                 C.get(((), lam.parts, mu.parts, 0), 0) == (1 if lam == mu else 0),
-                f"delta at {lam.parts},{mu.parts}",
+                "delta at {},{}", lam.parts, mu.parts,
             )
             for nu in ctx.boxed:
                 total = lam.size + mu.size - nu.size
@@ -218,11 +218,11 @@ def gw_symmetry_suite(ctx: GrassContext, table: CoeffTable, dmax: int) -> Report
                 v = C.get((lam.parts, mu.parts, nu.parts, d), 0)
                 rep.run(
                     v == C.get((mu.parts, lam.parts, nu.parts, d), 0),
-                    f"commutativity at {lam.parts},{mu.parts},{nu.parts},{d}",
+                    "commutativity at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
                 )
                 rep.run(
                     v == C.get((vee[nu], mu.parts, vee[lam], d), 0),
-                    f"vee duality at {lam.parts},{mu.parts},{nu.parts},{d}",
+                    "vee duality at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
                 )
     return rep
 
@@ -513,7 +513,7 @@ def nonskew_orthogonality(ctx: GrassContext, dmax: int) -> Report:
             )
             rep.run(
                 hall_inner(f, g) == expected,
-                f"pairing at {lam.parts},{d} vs {mu.parts},{d2}",
+                "pairing at {},{} vs {},{}", lam.parts, d, mu.parts, d2,
             )
     return rep
 
@@ -543,22 +543,24 @@ def chi_matrix_check(ctx: GrassContext, dmax: int = 2) -> Report:
                 if r > n and d >= 1:
                     prev = chi_weight(ctx, lam, d - 1, mu, (r - n,))
                     expect = -prev if (k - 1) % 2 else prev
-                    rep.run(val == expect, f"recurrence at {lam.parts}/{d}/{mu.parts}, r={r}")
+                    rep.run(
+                        val == expect, "recurrence at {}/{}/{}, r={}", lam.parts, d, mu.parts, r
+                    )
                 if r == n:
                     # a full circular ribbon carries multiplicity k: every bead
                     # can make the loop, matching the operator identity for p_n
                     expect = ((-1) ** ((k - 1) % 2)) * k if lam == mu else 0
-                    rep.run(val == expect, f"circular ribbon at {lam.parts}/{d}/{mu.parts}")
+                    rep.run(val == expect, "circular ribbon at {}/{}/{}", lam.parts, d, mu.parts)
                 if r < n:
                     data = ribbon_data(ctx, lam, d, mu)
                     if data is None:
-                        rep.run(val == 0, f"no ribbon at {lam.parts}/{d}/{mu.parts}, r={r}")
+                        rep.run(val == 0, "no ribbon at {}/{}/{}, r={}", lam.parts, d, mu.parts, r)
                     else:
                         _, height = data
                         sign = -1 if (height - 1) % 2 else 1
                         rep.run(
                             val == sign,
-                            f"single ribbon sign at {lam.parts}/{d}/{mu.parts}, r={r}",
+                            "single ribbon sign at {}/{}/{}, r={}", lam.parts, d, mu.parts, r,
                         )
                 # p-route consistency: coefficient of p_(r) in the dual-box function
                 other = ctx.conjugate_context()
@@ -566,7 +568,7 @@ def chi_matrix_check(ctx: GrassContext, dmax: int = 2) -> Report:
                 eps = -1 if (r - 1) % 2 else 1
                 rep.run(
                     coef == Fraction(eps * val, r),
-                    f"p-route at {lam.parts}/{d}/{mu.parts}, r={r}",
+                    "p-route at {}/{}/{}, r={}", lam.parts, d, mu.parts, r,
                 )
     return rep
 

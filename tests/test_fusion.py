@@ -1,9 +1,12 @@
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cylsym
 from cylsym import fusion
 from cylsym.fusion import (
     CoeffTable,
@@ -22,7 +25,7 @@ from cylsym.fusion import (
     symmetry_suite,
     t_unitarity_check,
 )
-from cylsym.partitions import AlcoveWeight, enumerate_alcove, partitions_of
+from cylsym.partitions import AlcoveWeight, ContextMismatchError, enumerate_alcove, partitions_of
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -41,7 +44,7 @@ def test_counting_anchors():
                 assert n_count(mu, lam, unit) == (1 if lam == mu else 0)
 
 
-@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2), (3, 3), (5, 2)])
 def test_triple_route_equality(n, k):
     ctx = FusionContext(n, k)
     for lam in ctx.alcove:
@@ -66,6 +69,61 @@ def test_triple_route_equality_sampled(n, k):
         assert count == n_verlinde(ctx, lam, mu, nu) == n_reduce(ctx, nu, lam, mu), (lam, mu, nu)
         values.append(count)
     assert any(values)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+def test_verlinde_route_reads_no_count(monkeypatch, n, k):
+    expected = FusionContext(n, k).fusion
+
+    def refuse(*args):
+        raise RuntimeError("fusion_count called")
+
+    monkeypatch.setattr(fusion, "fusion_count", refuse)
+    ctx = FusionContext(n, k)
+    A = ctx.alcove
+    assert [[[n_verlinde(ctx, l, m, u) for u in A] for m in A] for l in A] == expected
+
+
+def test_verlinde_integrality_check_survives_optimize():
+    # one bumped exponent count of m_unit(zeta^unit) adds 14/18 to N_{unit unit}^unit
+    code = (
+        "from cylsym.cyclotomic import NonIntegralError\n"
+        "from cylsym.fusion import FusionContext, n_verlinde\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "ctx = FusionContext(3, 2)\n"
+        "unit = ctx.unit()\n"
+        "if n_verlinde(ctx, unit, unit, unit) != 1:\n"
+        "    raise SystemExit('the unit law fails')\n"
+        "ctx = FusionContext(3, 2)\n"
+        "ctx.msym_counts[unit.parts][ctx.index[unit.parts]][0] += 1\n"
+        "try:\n"
+        "    n_verlinde(ctx, unit, unit, unit)\n"
+        "except NonIntegralError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('n_verlinde returned a value')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cylsym.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fusion_routes_refuse_weights_of_another_context():
+    ctx = FusionContext(3, 2)
+    a3, b3 = AlcoveWeight((2, 1), 3, 2), AlcoveWeight((2, 2), 3, 2)
+    a4, b4, c4 = (AlcoveWeight(p, 4, 2) for p in [(1, 1), (2, 1), (3, 2)])
+    with pytest.raises(ContextMismatchError):
+        n_verlinde(ctx, a4, b4, c4)
+    with pytest.raises(ContextMismatchError):
+        n_verlinde(ctx, a3, b3, c4)
+    with pytest.raises(ContextMismatchError):
+        n_reduce(ctx, a4, b4, c4)
+    with pytest.raises(ContextMismatchError):
+        n_count(a3, b3, c4)
 
 
 def test_degree_law():
@@ -104,6 +162,8 @@ def test_symmetry_suite_detects_a_corrupted_entry():
     ctx.fusion[0][1][2] += 1
     rep = symmetry_suite(ctx)
     assert not rep.ok and rep.checks == SYMMETRY_CHECKS[(3, 2)]
+    assert rep.failures[0] == "dual symmetry at (1, 1),(1, 1),(2, 1)"
+    assert len(rep.failures) == 30
 
 
 def test_fusion_table_and_suites_evaluate_no_monomial(monkeypatch):
