@@ -9,7 +9,6 @@ shapes are the regions between two loops.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .partitions import (
@@ -212,17 +211,6 @@ class CylindricShape:
 
     def row_counts(self) -> tuple[int, ...]:
         return tuple(self.outer_at(i) - self.inner_at(i) for i in range(1, self.k + 1))
-
-    def column_counts(self) -> dict[int, int]:
-        """Boxes per column residue mod n, {residue: count}, of a valid shape.
-
-        Moving a cell k rows down moves it n columns left, so the cells of
-        rows 1..k with column j mod n are as many as the cells of any one
-        column j of the plane.
-        """
-        if not self.is_valid():
-            return {}
-        return Counter(j % self.n for _, j in self.cells())
 
     def cells(self) -> tuple[tuple[int, int], ...]:
         """Cells in the fundamental strip of rows 1..k."""

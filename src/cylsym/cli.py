@@ -26,7 +26,8 @@ from .cylindric import (
     theta_cyl,
     theta_cyl_oracle,
 )
-from .partitions import AlcoveWeight, BoxedPartition, enumerate_alcove, format_partition, parse_partition
+from .partitions import AlcoveWeight, BoxedPartition, enumerate_alcove, format_partition
+from .partitions import lawful_rows, parse_partition
 
 
 class UsageError(Exception):
@@ -163,17 +164,12 @@ def _suite_route_equivalence(n: int, k: int) -> fu.Report:
                 )
     if 1 <= k < n:
         gctx = gr.grass_context(n, k)
-        for lam in gctx.boxed:
-            for mu in gctx.boxed:
-                for nu in gctx.boxed:
-                    total = lam.size + mu.size - nu.size
-                    if total < 0 or total % n or total // n > 1:
-                        continue
-                    d = total // n
-                    rep.run(
-                        gr.gw_bvi(gctx, lam, mu, nu, d) == gr.gw_ribbon(gctx, lam, mu, nu, d),
-                        "GW routes at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
-                    )
+        for lam, mu, row in lawful_rows(gctx.boxed, n, 1):
+            for nu, d in row:
+                rep.run(
+                    gr.gw_bvi(gctx, lam, mu, nu, d) == gr.gw_ribbon(gctx, lam, mu, nu, d),
+                    "GW routes at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
+                )
     return rep
 
 

@@ -25,6 +25,7 @@ from .partitions import (
     distinct_permutations,
     enumerate_alcove,
     format_partition,
+    lawful_rows,
     multiplicity,
     normalize,
     reduce_to_alcove,
@@ -104,6 +105,8 @@ class FusionContext:
     """
 
     def __init__(self, n: int, k: int):
+        if n < 1 or k < 1:
+            raise ValueError(f"need n >= 1 and k >= 1, got (n={n}, k={k})")
         self.n = n
         self.k = k
         self.alcove = enumerate_alcove(n, k)
@@ -130,20 +133,15 @@ class FusionContext:
     @cached_property
     def fusion(self) -> list:
         """fusion[i][j][l] = N_{A_i A_j}^{A_l} over the alcove A, by counting;
-        entries that break the degree law are 0 without a count."""
+        entries off the degree law of `lawful_rows` are 0 without a count."""
         n, k, A = self.n, self.k, self.alcove
-        return [
-            [
-                [
-                    fusion_count(nu.parts, lam.parts, mu.parts, n, k)
-                    if (lam.size + mu.size - nu.size) % n == 0 and lam.size + mu.size >= nu.size
-                    else 0
-                    for nu in A
-                ]
-                for mu in A
-            ]
-            for lam in A
-        ]
+        rows = []
+        for lam, mu, lawful in lawful_rows(A, n):
+            values = [0] * len(A)
+            for nu, _ in lawful:
+                values[self.index[nu.parts]] = fusion_count(nu.parts, lam.parts, mu.parts, n, k)
+            rows.append(values)
+        return [rows[i : i + len(A)] for i in range(0, len(rows), len(A))]
 
     def unit(self) -> AlcoveWeight:
         return AlcoveWeight((self.n,) * self.k, self.n, self.k)
@@ -283,17 +281,17 @@ class CoeffTable:
 
 
 def build_table(ctx: FusionContext, dmax: int | None = None, keep_zero: bool = False) -> CoeffTable:
-    """Fusion table over the whole alcove; d = (|lam|+|mu|-|nu|)/n per entry."""
+    """Fusion table over the whole alcove; d = (|lam|+|mu|-|nu|)/n per entry,
+    and -1 for the zero entries off the degree law that keep_zero keeps."""
     table = CoeffTable(ctx.n, ctx.k, "N")
-    for lam, row in zip(ctx.alcove, ctx.fusion):
-        for mu, values in zip(ctx.alcove, row):
-            for nu, value in zip(ctx.alcove, values):
-                total = lam.size + mu.size - nu.size
-                d = total // ctx.n if total % ctx.n == 0 and total >= 0 else -1
-                if dmax is not None and d > dmax:
-                    continue
-                if value or keep_zero:
-                    table.entries[(lam.parts, mu.parts, nu.parts, d)] = value
+    A = ctx.alcove
+    pair_values = (values for row in ctx.fusion for values in row)
+    for (lam, mu, lawful), values in zip(lawful_rows(A, ctx.n), pair_values):
+        degree = {nu.parts: d for nu, d in lawful}
+        for nu, value in zip(A, values):
+            d = degree.get(nu.parts, -1)
+            if (dmax is None or d <= dmax) and (value or keep_zero):
+                table.entries[(lam.parts, mu.parts, nu.parts, d)] = value
     return table
 
 

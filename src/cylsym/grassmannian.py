@@ -25,6 +25,7 @@ from .partitions import (
     distinct_permutations,
     enumerate_boxed,
     enumerate_strict,
+    lawful_rows,
     length,
     n_core,
     normalize,
@@ -78,8 +79,7 @@ def grass_context(n: int, k: int) -> GrassContext:
 
 def _as_boxed(ctx: GrassContext, bar) -> BoxedPartition:
     if isinstance(bar, BoxedPartition):
-        if (bar.n, bar.k) != (ctx.n, ctx.k):
-            raise ValueError("context mismatch")
+        ctx.boxed[0].same_context(bar)
         return bar
     return BoxedPartition(normalize(bar), ctx.n, ctx.k)
 
@@ -185,16 +185,11 @@ def gw_table(ctx: GrassContext, dmax: int, route=gw_ribbon) -> CoeffTable:
         "orientation": "entry (lambda, mu, nu, d) holds C_{lambda mu}^{nu, d}",
         "level_rank": "C_{lambda mu}^{nu, d} equals the conjugated entry of Gr(n-k, n)",
     }
-    for lam in ctx.boxed:
-        for mu in ctx.boxed:
-            for nu in ctx.boxed:
-                total = lam.size + mu.size - nu.size
-                if total < 0 or total % ctx.n or total // ctx.n > dmax:
-                    continue
-                d = total // ctx.n
-                v = route(ctx, lam, mu, nu, d)
-                if v:
-                    table.entries[(lam.parts, mu.parts, nu.parts, d)] = v
+    for lam, mu, row in lawful_rows(ctx.boxed, ctx.n, dmax):
+        for nu, d in row:
+            v = route(ctx, lam, mu, nu, d)
+            if v:
+                table.entries[(lam.parts, mu.parts, nu.parts, d)] = v
     return table
 
 
@@ -204,26 +199,21 @@ def gw_symmetry_suite(ctx: GrassContext, table: CoeffTable, dmax: int) -> Report
     rep = Report(f"GW symmetries Gr({ctx.k},{ctx.n})")
     C = table.entries
     vee = {b: b.vee().parts for b in ctx.boxed}
-    for lam in ctx.boxed:
-        for mu in ctx.boxed:
+    for lam, mu, row in lawful_rows(ctx.boxed, ctx.n, dmax):
+        rep.run(
+            C.get(((), lam.parts, mu.parts, 0), 0) == (1 if lam == mu else 0),
+            "delta at {},{}", lam.parts, mu.parts,
+        )
+        for nu, d in row:
+            v = C.get((lam.parts, mu.parts, nu.parts, d), 0)
             rep.run(
-                C.get(((), lam.parts, mu.parts, 0), 0) == (1 if lam == mu else 0),
-                "delta at {},{}", lam.parts, mu.parts,
+                v == C.get((mu.parts, lam.parts, nu.parts, d), 0),
+                "commutativity at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
             )
-            for nu in ctx.boxed:
-                total = lam.size + mu.size - nu.size
-                if total < 0 or total % ctx.n or total // ctx.n > dmax:
-                    continue
-                d = total // ctx.n
-                v = C.get((lam.parts, mu.parts, nu.parts, d), 0)
-                rep.run(
-                    v == C.get((mu.parts, lam.parts, nu.parts, d), 0),
-                    "commutativity at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
-                )
-                rep.run(
-                    v == C.get((vee[nu], mu.parts, vee[lam], d), 0),
-                    "vee duality at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
-                )
+            rep.run(
+                v == C.get((vee[nu], mu.parts, vee[lam], d), 0),
+                "vee duality at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
+            )
     return rep
 
 

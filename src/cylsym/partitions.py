@@ -468,6 +468,30 @@ def enumerate_boxed(n: int, k: int) -> tuple[BoxedPartition, ...]:
     )
 
 
+def lawful_rows(weights, n: int, dmax: int | None = None):
+    """Yield (lam, mu, row) for every pair of weights, lam outer, in their order.
+
+    The row lists, in the order of the weights, every (nu, d) with nu among
+    the weights and |lam| + |mu| - |nu| = n*d for 0 <= d <= dmax (no upper
+    bound when dmax is None): Gromov-Witten invariants and fusion coefficients
+    vanish off this degree law.  A row depends on |lam| + |mu| only and is
+    built once.
+    """
+    sized = [(w, w.size) for w in weights]
+    rows: dict[int, tuple] = {}
+    for lam, a in sized:
+        for mu, b in sized:
+            row = rows.get(a + b)
+            if row is None:
+                row = []
+                for nu, c in sized:
+                    d, rem = divmod(a + b - c, n)
+                    if rem == 0 and 0 <= d and (dmax is None or d <= dmax):
+                        row.append((nu, d))
+                row = rows[a + b] = tuple(row)
+            yield lam, mu, row
+
+
 def reduce_to_alcove(nu: Weight, n: int, k: int) -> tuple[AlcoveWeight, int]:
     """Unique alcove point of the level-n orbit of nu, with the winding number d.
 

@@ -633,26 +633,22 @@ def skew_e(lam: Partition, mu: Partition) -> SymFunc:
 def schur_straighten(v) -> tuple[int, Partition] | None:
     """Normalise a Schur index by the exchange rule; None when the term vanishes.
 
-    Applies (..., a, b, ...) -> -(..., b-1, a+1, ...) until the sequence is
-    weakly decreasing, then drops trailing zeros.  Sequences with a negative
-    entry at the end, or hitting the (a, a+1) pattern, vanish.
+    The rule (..., a, b, ...) -> -(..., b-1, a+1, ...) swaps two entries of
+    w = v + (l, ..., 1), l = len(v).  So the term vanishes when w has a
+    repeated entry, and otherwise its sign is the parity of the sort of w into
+    decreasing order.  The result, sorted w minus (l, ..., 1), also vanishes
+    when its last part is negative; trailing zeros are dropped.
     """
-    v = list(v)
-    sign = 1
-    for _ in range(10000):
-        pos = next((i for i in range(len(v) - 1) if v[i] < v[i + 1]), None)
-        if pos is None:
-            while v and v[-1] == 0:
-                v.pop()
-            if any(x < 0 for x in v):
-                return None
-            return sign, tuple(v)
-        a, b = v[pos], v[pos + 1]
-        if b == a + 1:
-            return None
-        v[pos], v[pos + 1] = b - 1, a + 1
-        sign = -sign
-    raise AssertionError("straightening did not terminate")
+    ell = len(v)
+    w = [x + ell - i for i, x in enumerate(v)]
+    if len(set(w)) < ell:
+        return None
+    inversions = sum(a < b for i, a in enumerate(w) for b in w[i + 1 :])
+    w.sort(reverse=True)
+    lam = [x - ell + i for i, x in enumerate(w)]
+    if lam and lam[-1] < 0:
+        return None
+    return (-1 if inversions % 2 else 1), tuple(x for x in lam if x)
 
 
 def monomial_in_schur(lam: Partition) -> SymFunc:

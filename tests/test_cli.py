@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,23 @@ def test_parser_built_once_serves_every_call(capsys):
     build_parser.cache_clear()
     assert (code, out) == run(capsys, "fusion", "--n", "3", "--k", "2")[:2]
     assert build_parser() is not parser
+
+
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
+
+
+def test_outputs_match_the_stored_reference_digests():
+    """Every gw and verify job of the benchmark's references, and every 12th
+    cyl job, run in-process: stdout must hash to the stored SHA-256."""
+    outputs = json.loads(REFS.read_text())["outputs"]
+    chosen = sorted(key for key in outputs if key.split()[0] in ("gw", "verify"))
+    chosen += sorted(key for key in outputs if key.split()[0] == "cyl")[::12]
+    assert len(chosen) == 21 + 60
+    stale = []
+    for key in chosen:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(key.split())
+        if code != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest() != outputs[key]:
+            stale.append(key)
+    assert stale == []

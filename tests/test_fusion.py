@@ -126,6 +126,12 @@ def test_fusion_routes_refuse_weights_of_another_context():
         n_count(a3, b3, c4)
 
 
+@pytest.mark.parametrize("n,k", [(0, 2), (-1, 1), (2, -1), (2, 0)])
+def test_fusion_context_rejects_nonpositive_n_or_k(n, k):
+    with pytest.raises(ValueError, match=rf"\(n={n}, k={k}\)"):
+        FusionContext(n, k)
+
+
 def test_degree_law():
     ctx = FusionContext(3, 2)
     for lam in ctx.alcove:

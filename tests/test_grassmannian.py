@@ -34,6 +34,7 @@ from cylsym.grassmannian import (
 from cylsym.grassmannian import _strip_ok
 from cylsym.partitions import (
     BoxedPartition,
+    ContextMismatchError,
     conjugate,
     enumerate_alcove,
     partitions_of,
@@ -465,3 +466,16 @@ def test_ribbon_integrality_check_survives_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_boxed_partitions_of_another_context_are_refused():
+    ctx = grass_context(4, 2)
+    mine, foreign = BoxedPartition((1,), 4, 2), BoxedPartition((1,), 5, 2)
+    calls = [
+        lambda: gw_bvi(ctx, foreign, mine, mine, 0),
+        lambda: gw_ribbon(ctx, mine, mine, foreign, 0),
+        lambda: quantum_kostka(ctx, mine, 0, foreign, (1,)),
+    ]
+    for call in calls:
+        with pytest.raises(ContextMismatchError, match=r"\(n=4,k=2\) and \(n=5,k=2\)"):
+            call()

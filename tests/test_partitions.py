@@ -13,6 +13,7 @@ from cylsym.partitions import (
     enumerate_boxed,
     enumerate_strict,
     format_partition,
+    lawful_rows,
     n_core,
     normalize,
     parse_partition,
@@ -229,3 +230,21 @@ def test_text_syntax():
     for bad in ["2,3", "a", "", "1,,2", "-1"]:
         with pytest.raises(ValueError):
             parse_partition(bad)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 2)])
+def test_lawful_rows_equal_the_full_cube_filter(n, k):
+    for weights in (enumerate_alcove(n, k), enumerate_boxed(n, k)):
+        for dmax in (0, 1, 2, None):
+            top = n * dmax if dmax is not None else float("inf")
+            cube = [
+                (lam, mu, nu, (lam.size + mu.size - nu.size) // n)
+                for lam in weights
+                for mu in weights
+                for nu in weights
+                if (lam.size + mu.size - nu.size) % n == 0
+                and 0 <= lam.size + mu.size - nu.size <= top
+            ]
+            rows = list(lawful_rows(weights, n, dmax))
+            assert [(lam, mu) for lam, mu, _ in rows] == [(a, b) for a in weights for b in weights]
+            assert [(lam, mu, nu, d) for lam, mu, row in rows for nu, d in row] == cube

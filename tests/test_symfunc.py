@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,6 +374,30 @@ def test_straightening_rules():
     assert schur_straighten((1, 3)) == (-1, (2, 2))
     assert schur_straighten((0, 0)) == (1, ())
     assert schur_straighten((2, 2, -1)) is None
+
+
+def _straighten_by_exchange(v):
+    """The exchange rule (..., a, b, ...) -> -(..., b-1, a+1, ...), one
+    adjacent step at a time until the sequence is weakly decreasing."""
+    v = list(v)
+    sign = 1
+    while True:
+        pos = next((i for i in range(len(v) - 1) if v[i] < v[i + 1]), None)
+        if pos is None:
+            while v and v[-1] == 0:
+                v.pop()
+            return None if any(x < 0 for x in v) else (sign, tuple(v))
+        a, b = v[pos], v[pos + 1]
+        if b == a + 1:
+            return None
+        v[pos], v[pos + 1] = b - 1, a + 1
+        sign = -sign
+
+
+def test_straightening_equals_the_exchange_rule_exhaustively():
+    for ell in range(6):
+        for v in product(range(-2, 7), repeat=ell):
+            assert schur_straighten(v) == _straighten_by_exchange(v), v
 
 
 def test_monomial_in_schur():
