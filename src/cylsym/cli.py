@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
+from itertools import chain
 
 from . import fusion as fu
 from . import grassmannian as gr
@@ -43,41 +44,32 @@ def _partition_arg(text: str):
 
 def _write(text: str, path: str | None):
     if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        _write_file((text, "" if text.endswith("\n") else "\n"), path)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
 
 
+def _write_file(chunks, path: str):
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _table_text(table: fu.CoeffTable) -> str:
-    rows = [("lambda", "mu", "nu", "d", "value")]
-    for (lam, mu, nu, d), v in table.sorted_items():
-        rows.append(
-            (
-                format_partition(lam),
-                format_partition(mu),
-                format_partition(nu),
-                str(d) if d >= 0 else "-",
-                str(v),
-            )
-        )
-    widths = [max(len(r[i]) for r in rows) for i in range(5)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(fu._render(table, "text"))
 
 
 def _write_table(table: fu.CoeffTable, args) -> int:
-    if args.format == "csv":
-        _write(table.to_csv(), args.out)
-    elif args.format == "json":
-        _write(table.to_json(), args.out)
+    # json alone ends without a newline; both sinks get one, as in _write
+    chunks = chain(fu._render(table, args.format), "\n" if args.format == "json" else "")
+    if args.out:
+        _write_file(chunks, args.out)
     else:
-        _write(_table_text(table), args.out)
+        sys.stdout.writelines(chunks)
     return 0
 
 

@@ -8,8 +8,6 @@ indices by stabiliser multinomials.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -235,28 +233,8 @@ class CoeffTable:
     entries: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
-    def sorted_items(self):
-        return sorted(self.entries.items())
-
     def to_json(self) -> str:
-        # d = -1 is the internal sentinel for degree-law violations (value 0)
-        payload = {
-            "n": self.n,
-            "k": self.k,
-            "entries": [
-                {
-                    "lambda": list(lam),
-                    "mu": list(mu),
-                    "nu": list(nu),
-                    "d": d if d >= 0 else None,
-                    self.value_key: v,
-                }
-                for (lam, mu, nu, d), v in self.sorted_items()
-            ],
-        }
-        if self.metadata:
-            payload["metadata"] = self.metadata
-        return json.dumps(payload, indent=0, sort_keys=True)
+        return "".join(_render(self, "json"))
 
     @staticmethod
     def from_json(text: str, value_key: str = "N") -> "CoeffTable":
@@ -269,15 +247,41 @@ class CoeffTable:
         return table
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["lambda", "mu", "nu", "d", "value"])
-        for (lam, mu, nu, d), v in self.sorted_items():
-            if v:
-                writer.writerow(
-                    [format_partition(lam), format_partition(mu), format_partition(nu), d, v]
-                )
-        return buf.getvalue()
+        return "".join(_render(self, "csv"))
+
+
+def _render(table: CoeffTable, fmt: str):
+    """Yield a table in key order, one chunk per row: "json" the bytes of
+    json.dumps(payload, indent=0, sort_keys=True) with d = -1 as null, "csv"
+    those of csv.writer without zero rows, "text" columns padded in a first pass."""
+    items = sorted(table.entries.items())
+    cell = {p: format_partition(p) for p in {p for key in table.entries for p in key[:3]}}
+    if fmt == "json":
+        cell = {p: "[\n" + s.replace(",", ",\n") + "\n]" if p else "[]" for p, s in cell.items()}
+        slot = {table.value_key: "{0}", "d": "{1}", "lambda": "{2}", "mu": "{3}", "nu": "{4}"}
+        entry = "{{\n" + ",\n".join(f'"{key}": {slot[key]}' for key in sorted(slot)) + "\n}}"
+        for i, ((lam, mu, nu, d), v) in enumerate(items):
+            row = entry.format(v, d if d >= 0 else "null", cell[lam], cell[mu], cell[nu])
+            yield (",\n" if i else '{\n"entries": [\n') + row
+        meta = json.dumps(table.metadata, indent=0, sort_keys=True) if table.metadata else ""
+        tail = f',\n"k": {table.k}' + (f',\n"metadata": {meta}' if meta else "")
+        yield ("\n]" if items else '{\n"entries": []') + tail + f',\n"n": {table.n}\n}}'
+    elif fmt == "csv":
+        cell = {p: f'"{s}"' if "," in s else s for p, s in cell.items()}
+        yield "lambda,mu,nu,d,value\r\n"
+        yield from (f"{cell[l]},{cell[m]},{cell[u]},{d},{v}\r\n" for (l, m, u, d), v in items if v)
+    else:
+        cell.update((d, str(d) if d >= 0 else "-") for d in {key[3] for key in table.entries})
+        head, pads = "", []
+        for i, name in enumerate(("lambda", "mu", "nu", "d")):
+            used = {key[i] for key in table.entries}
+            width = max([len(name)] + [len(cell[x]) for x in used])
+            head += name.ljust(width) + "  "
+            pads.append({x: cell[x].ljust(width) + "  " for x in used})
+        lam_pad, mu_pad, nu_pad, d_pad = pads
+        yield head + "value\n"
+        for (lam, mu, nu, d), v in items:
+            yield f"{lam_pad[lam]}{mu_pad[mu]}{nu_pad[nu]}{d_pad[d]}{v}\n"
 
 
 def build_table(ctx: FusionContext, dmax: int | None = None, keep_zero: bool = False) -> CoeffTable:

@@ -47,7 +47,7 @@ class GrassContext:
 
     def __init__(self, n: int, k: int):
         if not 1 <= k < n:
-            raise ValueError("need 1 <= k < n")
+            raise ValueError(f"need 1 <= k < n, got (n={n}, k={k})")
         self.n = n
         self.k = k
         self.boxed = enumerate_boxed(n, k)
@@ -139,18 +139,17 @@ def _k_weights(ctx: GrassContext, mu: BoxedPartition) -> tuple:
 def _reduced_product(ctx: GrassContext, lam: BoxedPartition, mu: BoxedPartition) -> dict:
     """{(nu, d): C_{lam mu}^{nu, d}} for s_lam * s_mu in k variables, each term
     straightened (Brauer-Klimyk) and reduced by signed n-rim-hook removal."""
+    if (lam.size, lam.parts) < (mu.size, mu.parts):
+        return _reduced_product(ctx, mu, lam)  # it commutes: expand the smaller factor
     n, k = ctx.n, ctx.k
     base = lam.padded()
-    cores: dict = {}
     out: dict = {}
     for alpha, c in _k_weights(ctx, mu):
         term = schur_straighten(tuple(a + b for a, b in zip(base, alpha)))
         if term is None:
             continue
         sign, sigma = term
-        if sigma not in cores:
-            cores[sigma] = n_core(sigma, n)
-        core, weight, parity = cores[sigma]
+        core, weight, parity = n_core(sigma, n)
         if core and core[0] > n - k:
             continue
         if (k * weight - parity) % 2:
@@ -160,31 +159,42 @@ def _reduced_product(ctx: GrassContext, lam: BoxedPartition, mu: BoxedPartition)
     return out
 
 
+def _ribbon_value(total, lam, mu, nu, d: int) -> int:
+    """A coefficient of `_reduced_product`, checked integral and non-negative."""
+    if total.denominator != 1:
+        raise ValueError(f"non-integral ribbon-route value at {lam},{mu},{nu},{d}")
+    if total < 0:
+        raise ValueError(f"negative ribbon-route value at {lam},{mu},{nu},{d}")
+    return total.numerator
+
+
 def gw_ribbon(ctx: GrassContext, lam, mu, nu, d: int) -> int:
     """C_{lam mu}^{nu, d} by signed n-rim-hook reduction of the k-variable
     Schur product s_lam * s_mu (Bertram, Ciocan-Fontanine and Fulton)."""
     lam, mu, nu = _as_boxed(ctx, lam), _as_boxed(ctx, mu), _as_boxed(ctx, nu)
     if d < 0 or lam.size + mu.size - nu.size != ctx.n * d:
         return 0
-    # the product commutes: take the weights of the smaller factor
-    big, small = (lam, mu) if (lam.size, lam.parts) >= (mu.size, mu.parts) else (mu, lam)
-    total = _reduced_product(ctx, big, small).get((nu.parts, d), 0)
-    if total.denominator != 1:
-        raise ValueError(f"non-integral ribbon-route value at {lam.parts},{mu.parts},{nu.parts},{d}")
-    value = total.numerator
-    if value < 0:
-        raise ValueError(f"negative ribbon-route value at {lam.parts},{mu.parts},{nu.parts},{d}")
-    return value
+    total = _reduced_product(ctx, lam, mu).get((nu.parts, d), 0)
+    return _ribbon_value(total, lam.parts, mu.parts, nu.parts, d)
 
 
 def gw_table(ctx: GrassContext, dmax: int, route=gw_ribbon) -> CoeffTable:
-    """Full table of C_{lam mu}^{nu, d} for d <= dmax, nonzero entries only."""
+    """Full table of C_{lam mu}^{nu, d} for d <= dmax, nonzero entries only: the
+    default route reads each pair's reduced product, another is called per triple."""
     table = CoeffTable(ctx.n, ctx.k, "C")
     table.metadata = {
         "kind": "gromov-witten",
         "orientation": "entry (lambda, mu, nu, d) holds C_{lambda mu}^{nu, d}",
         "level_rank": "C_{lambda mu}^{nu, d} equals the conjugated entry of Gr(n-k, n)",
     }
+    if route is gw_ribbon:
+        for lam in ctx.boxed:
+            for mu in ctx.boxed:
+                for (nu, d), total in _reduced_product(ctx, lam, mu).items():
+                    if d <= dmax and total:
+                        v = _ribbon_value(total, lam.parts, mu.parts, nu, d)
+                        table.entries[(lam.parts, mu.parts, nu, d)] = v
+        return table
     for lam, mu, row in lawful_rows(ctx.boxed, ctx.n, dmax):
         for nu, d in row:
             v = route(ctx, lam, mu, nu, d)
@@ -404,7 +414,7 @@ def cyl_schur_to_schur(ctx: GrassContext, lam, d: int, mu) -> SymFunc:
         return SymFunc.make("s", {})
     out = {}
     for nu in partitions_of(deg, max_len=n - k):
-        core, weight, parity = n_core(nu, n) if nu else ((), 0, 0)
+        core, weight, parity = n_core(nu, n)
         if weight > d:
             continue
         if core and core[0] > k:

@@ -289,31 +289,25 @@ def partition_from_betas(betas) -> Partition:
     return normalize(tuple(bs[i] - (ell - (i + 1)) for i in range(ell)))
 
 
+@lru_cache(maxsize=None)
 def n_core(lam: Partition, n: int) -> tuple[Partition, int, int]:
     """n-core of lam with its n-weight and the removal height-sum parity.
 
-    A ribbon removal is a bead slide b -> b-n on the abacus; its height is one
-    more than the number of occupied positions strictly between b-n and b.  The
-    core, the number of slides and the height-sum parity do not depend on the
-    slide order.
-    """
+    A removal slides a bead b -> b-n on the abacus, with height one more than
+    the beads it passes.  Sliding until no bead moves packs each runner to the
+    top, each bead keeping its rank there: the weight is the drop of the bead
+    sum over n, and the beads passed are, mod 2, the inversions of the order."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    occupied = set(beta_numbers(lam))
-    weight = 0
-    parity = 0
-    moved = True
-    while moved:
-        moved = False
-        for b in sorted(occupied):
-            if b >= n and (b - n) not in occupied:
-                crossed = sum(1 for x in occupied if b - n < x < b)
-                parity = (parity + crossed + 1) % 2
-                occupied.remove(b)
-                occupied.add(b - n)
-                weight += 1
-                moved = True
-    return partition_from_betas(occupied), weight, parity
+    betas = sorted(beta_numbers(lam))
+    packed, on_runner, inversions = [], [0] * n, 0
+    for b in betas:
+        p = b % n + n * on_runner[b % n]
+        on_runner[b % n] += 1
+        inversions += sum(q > p for q in packed)
+        packed.append(p)
+    weight = (sum(betas) - sum(packed)) // n
+    return partition_from_betas(packed), weight, (inversions + weight) % 2
 
 
 def partitions_with_core(core: Partition, n: int, weight: int, max_len: int | None = None):

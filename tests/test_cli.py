@@ -1,11 +1,14 @@
+import ast
 import contextlib
 import hashlib
 import io
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import cylsym
 from cylsym import symfunc
 from cylsym.cli import build_parser, main
 
@@ -158,10 +161,29 @@ def test_output_file(tmp_path, capsys):
     assert len(data["entries"]) == 8
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gw", "--n", "4", "--k", "2", "--dmax", "2"),
+        ("fusion", "--n", "3", "--k", "2"),
+        ("fusion", "--n", "2", "--k", "1", "--dmax", "0"),
+        ("cyl", "h", "--n", "3", "--k", "2", "--lambda", "2,1", "--mu", "1,1", "--d", "1"),
+        ("cyl", "s", "--n", "4", "--k", "2", "--lambda", "1", "--mu", "-", "--d", "1"),
+    ],
+)
+def test_output_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
+    formats = ("json", "text") if argv[0] == "cyl" else ("json", "csv", "text")
+    for fmt in formats:
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        target = tmp_path / f"out.{fmt}"
+        assert run(capsys, *argv, "--format", fmt, "--out", str(target)) == (0, "", "")
+        assert code == 0 and target.read_bytes() == out.encode(), fmt
+
+
 def test_gw_bad_context_exit_2(capsys):
     code, out, err = run(capsys, "gw", "--n", "4", "--k", "4", "--dmax", "1")
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "(n=4, k=4)" in err
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):
@@ -216,3 +238,20 @@ def test_outputs_match_the_stored_reference_digests():
         if code != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest() != outputs[key]:
             stale.append(key)
     assert stale == []
+
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_every_module_is_traced_by_the_benchmark():
+    """The benchmark's tracer refuses a cylsym module missing from its
+    MODULES tuple; read that tuple from the file and compare."""
+    tree = ast.parse(TRACER.read_text())
+    (listed,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "MODULES" for t in node.targets)
+    ]
+    modules = {m.name for m in pkgutil.iter_modules(cylsym.__path__)}
+    assert modules and modules <= set(listed)

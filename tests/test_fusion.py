@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import random
@@ -25,7 +27,15 @@ from cylsym.fusion import (
     symmetry_suite,
     t_unitarity_check,
 )
-from cylsym.partitions import AlcoveWeight, ContextMismatchError, enumerate_alcove, partitions_of
+from cylsym.cli import _table_text
+from cylsym.grassmannian import grass_context, gw_table
+from cylsym.partitions import (
+    AlcoveWeight,
+    ContextMismatchError,
+    enumerate_alcove,
+    format_partition,
+    partitions_of,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -253,6 +263,66 @@ def test_table_csv():
     rows = [r for r in csv_text.strip().splitlines()[1:]]
     assert len(rows) == 4  # nonzero entries only
     assert any(r.startswith("1,1,2,0,1") for r in rows)
+
+
+def _json_oracle(table):
+    """The table through json.dumps, as the renderer's bytes must be."""
+    payload = {
+        "n": table.n,
+        "k": table.k,
+        "entries": [
+            {
+                "lambda": list(lam),
+                "mu": list(mu),
+                "nu": list(nu),
+                "d": d if d >= 0 else None,
+                table.value_key: v,
+            }
+            for (lam, mu, nu, d), v in sorted(table.entries.items())
+        ],
+    }
+    if table.metadata:
+        payload["metadata"] = table.metadata
+    return json.dumps(payload, indent=0, sort_keys=True)
+
+
+def _csv_oracle(table):
+    """The nonzero rows through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["lambda", "mu", "nu", "d", "value"])
+    for (lam, mu, nu, d), v in sorted(table.entries.items()):
+        if v:
+            writer.writerow(
+                [format_partition(lam), format_partition(mu), format_partition(nu), d, v]
+            )
+    return buf.getvalue()
+
+
+def _text_oracle(table):
+    """Every row, columns padded to the widest cell, trailing blanks stripped."""
+    rows = [("lambda", "mu", "nu", "d", "value")]
+    for (lam, mu, nu, d), v in sorted(table.entries.items()):
+        cells = (format_partition(lam), format_partition(mu), format_partition(nu))
+        rows.append((*cells, str(d) if d >= 0 else "-", str(v)))
+    widths = [max(len(r[i]) for r in rows) for i in range(5)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_row_renderer_equals_json_csv_and_text_oracles():
+    grids = [(2, 1), (3, 2), (4, 2), (3, 3)]
+    tables = [build_table(FusionContext(n, k), keep_zero=True) for n, k in grids]
+    assert any(key[3] == -1 for key in tables[-1].entries)  # rows with d = null
+    tables += [gw_table(grass_context(n, k), 2) for n, k in [(4, 2), (6, 3), (7, 1)]]
+    tables += [
+        CoeffTable(3, 2),
+        CoeffTable(3, 2, "C", {}, {"note": 'a "quote" \\ \u03bb\t', "rank": {"b": [], "a": 1}}),
+    ]
+    for table in tables:
+        assert table.to_json() == _json_oracle(table)
+        assert table.to_csv() == _csv_oracle(table)
+        assert _table_text(table) == _text_oracle(table)
 
 
 def test_golden_fusion_tables():

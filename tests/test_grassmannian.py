@@ -416,6 +416,15 @@ def test_default_table_matches_bvi_on_edges_and_samples():
             )
 
 
+def test_per_pair_table_equals_the_per_triple_calls():
+    # a lambda is not gw_ribbon itself, so gw_table calls it once per triple
+    for n, k, dmax in [(8, 4, 2), (7, 3, 1), (7, 1, 2), (5, 4, 2)]:
+        ctx = grass_context(n, k)
+        table = gw_table(ctx, dmax)
+        per_triple = gw_table(ctx, dmax, route=lambda *a: gw_ribbon(*a))
+        assert table.entries and table.entries == per_triple.entries, (n, k, dmax)
+
+
 def test_gw_golden_table():
     path = os.path.join(GOLDEN_DIR, "gw_n4_k2_d2.json")
     with open(path) as fh:
@@ -449,6 +458,14 @@ def test_ribbon_integrality_check_survives_optimize():
         "    pass\n"
         "else:\n"
         "    raise SystemExit('gw_ribbon returned a value')\n"
+        "for bad in (Fraction(1, 2), -1):\n"
+        "    gr._reduced_product = lambda ctx, lam, mu: {((2,), 0): bad}\n"
+        "    try:\n"
+        "        gr.gw_table(gr.grass_context(4, 2), 0)\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(f'gw_table kept the term {bad}')\n"
         "try:\n"
         "    _exact_polydiv([1, 0, 1], [1, 1])\n"
         "except ValueError:\n"

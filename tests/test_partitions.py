@@ -7,6 +7,7 @@ from cylsym.partitions import (
     AlcoveWeight,
     BoxedPartition,
     ContextMismatchError,
+    beta_numbers,
     boxed_from_strict,
     conjugate,
     enumerate_alcove,
@@ -17,6 +18,7 @@ from cylsym.partitions import (
     n_core,
     normalize,
     parse_partition,
+    partition_from_betas,
     partitions_of,
     partitions_with_core,
     quantum_dim,
@@ -132,6 +134,35 @@ def test_n_core_matches_exhaustive_removal(n):
             reachable = _cores_by_removal(lam, n)
             assert len(reachable) == 1, (lam, n, reachable)
             assert next(iter(reachable)) == n_core(lam, n)
+
+
+def _n_core_by_sliding(lam, n):
+    """The bead-sliding n-core: slide any bead b -> b - n onto a free position
+    until none can move, adding one plus the beads passed to the height sum."""
+    occupied = set(beta_numbers(lam))
+    weight = parity = 0
+    moved = True
+    while moved:
+        moved = False
+        for b in sorted(occupied):
+            if b >= n and (b - n) not in occupied:
+                crossed = sum(1 for x in occupied if b - n < x < b)
+                parity = (parity + crossed + 1) % 2
+                occupied.remove(b)
+                occupied.add(b - n)
+                weight += 1
+                moved = True
+    return partition_from_betas(occupied), weight, parity
+
+
+def test_closed_form_n_core_equals_bead_sliding():
+    cases = 0
+    for n in range(2, 9):
+        for m in range(19):
+            for lam in partitions_of(m):
+                assert n_core(lam, n) == _n_core_by_sliding(lam, n), (lam, n)
+                cases += 1
+    assert cases == 11179
 
 
 def test_n_core_anchors():
