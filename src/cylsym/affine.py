@@ -10,6 +10,7 @@ shapes are the regions between two loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .partitions import (
     AlcoveWeight,
@@ -93,10 +94,16 @@ def generators(k: int) -> list[ExtAffinePerm]:
 # level-n loops and the level-n action
 
 
+def _extend(values: Weight, n: int, i: int) -> int:
+    """Value at i of the quasi-periodic extension v(i + k) = v(i) - n of the
+    window values on [k]."""
+    q, r = divmod(i - 1, len(values))
+    return values[r] - n * q
+
+
 def loop_value(lam: AlcoveWeight, d: int, i: int) -> int:
     """Value of the quasi-periodic extension of lam, shifted by tau^d, at i."""
-    q, r = divmod(i - d - 1, lam.k)
-    return lam.parts[r] - lam.n * q
+    return _extend(lam.parts, lam.n, i - d)
 
 
 @dataclass(frozen=True)
@@ -120,25 +127,13 @@ class CylindricLoop:
     def window(self) -> Weight:
         return tuple(self(i) for i in range(1, self.k + 1))
 
-    def shift(self, d: int) -> "CylindricLoop":
-        return CylindricLoop(self.base, self.offset + d)
-
-    def __le__(self, other: "CylindricLoop") -> bool:
-        self.base.same_context(other.base)
-        return all(self(i) <= other(i) for i in range(1, self.k + 1))
-
 
 def act_on_weight(values: Weight, w: ExtAffinePerm, n: int) -> Weight:
     """Right level-n action on the weight given by its values on [k]."""
     k = len(values)
     if w.k != k:
         raise ValueError("rank mismatch")
-
-    def ext(i: int) -> int:
-        q, r = divmod(i - 1, k)
-        return values[r] - n * q
-
-    return tuple(ext(w(i)) for i in range(1, k + 1))
+    return tuple(_extend(values, n, w(i)) for i in range(1, k + 1))
 
 
 def act_on_loop(loop: CylindricLoop, w: ExtAffinePerm) -> CylindricLoop:
@@ -153,11 +148,7 @@ def act_on_loop(loop: CylindricLoop, w: ExtAffinePerm) -> CylindricLoop:
 def loop_from_window(values: Weight, n: int) -> CylindricLoop:
     """Normalise a weakly decreasing quasi-periodic window into (base, offset)."""
     k = len(values)
-
-    def ext(i: int) -> int:
-        q, r = divmod(i - 1, k)
-        return values[r] - n * q
-
+    ext = partial(_extend, values, n)
     if any(ext(i) < ext(i + 1) for i in range(0, k + 1)):
         raise ValueError(f"window {values} is not weakly decreasing on Z")
     # d + 1 is the smallest index whose value drops to n or below; the k values

@@ -204,11 +204,6 @@ class CycloNum:
                 rest = rest * self._galois(a)
         return rest * (1 / (self * rest).to_fraction())
 
-    def __truediv__(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, other)
-        return self * other.inv()
-
     def conjugate(self) -> "CycloNum":
         """Complex conjugation zeta -> zeta^(-1), the Galois action sigma_{-1}."""
         return self._galois(-1)

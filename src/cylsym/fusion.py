@@ -92,11 +92,10 @@ def n_count(lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:
 
 
 class FusionContext:
-    """The alcove of (n, k) with tables built on first use: the monomial
-    evaluations at zeta powers, read by the modular checks, their exponent
-    counts, read by the Verlinde route and the orthogonality check, and the
-    integer fusion array, read by the table and the suites.  An evaluation
-    at zeta^-sigma is read as the complex conjugate of the stored one.
+    """The alcove of (n, k) with tables built on first use: the exponent
+    counts of the monomials at zeta powers, read by the Verlinde route, the
+    orthogonality check and the S-matrix, and the integer fusion array, read
+    by the table and the suites.
 
     A built table is never modified.  Two threads racing on first use may
     build the same table twice; both copies are equal.
@@ -113,14 +112,6 @@ class FusionContext:
         self.scale = n**k * factorial(k)
         self._duals = {}
         self._product = lru_cache(maxsize=1)(self._convolve)  # callers walk nu innermost
-
-    @cached_property
-    def msym(self) -> dict:
-        """msym[lam][sigma] = m_lam(zeta^sigma)."""
-        return {
-            a.parts: {s.parts: eval_msym(a.parts, s.parts, self.n) for s in self.alcove}
-            for a in self.alcove
-        }
 
     @cached_property
     def msym_counts(self) -> dict:
@@ -376,8 +367,10 @@ def s_matrix(ctx: FusionContext):
 
     Returns (matrix, metadata); matrix[i][j] corresponds to (alcove[i], alcove[j]).
     """
+    n = ctx.n
     mat = [
-        [ctx.msym[lam.parts][mu.parts] for mu in ctx.alcove] for lam in ctx.alcove
+        [CycloNum._of(n, _reduce_mod_phi(e, n)) for e in ctx.msym_counts[lam.parts]]
+        for lam in ctx.alcove
     ]
     meta = {"scaling": f"entries are sqrt(n^k) * S, n^k = {ctx.n ** ctx.k}"}
     return mat, meta
@@ -392,13 +385,13 @@ def s_matrix_inverse_check(ctx: FusionContext) -> Report:
     """
     rep = Report(f"S-matrix inverse (n={ctx.n}, k={ctx.k})")
     n, k = ctx.n, ctx.k
-    for lam in ctx.alcove:
-        for nu in ctx.alcove:
+    S, _ = s_matrix(ctx)
+    for i, lam in enumerate(ctx.alcove):
+        for l, nu in enumerate(ctx.alcove):
             total = CycloNum.zero(n)
-            for mu in ctx.alcove:
-                conj = ctx.msym[mu.parts][nu.parts].conjugate()
-                total = total + ctx.msym[lam.parts][mu.parts] * conj
-            ok = total == CycloNum.from_rational(n, n**k if lam == nu else 0)
+            for row, s in zip(S, S[i]):
+                total = total + s * row[l].conjugate()
+            ok = total == CycloNum.from_rational(n, n**k if i == l else 0)
             rep.run(ok, "inverse at {},{}", lam.parts, nu.parts)
     return rep
 

@@ -178,16 +178,16 @@ def gw_ribbon(ctx: GrassContext, lam, mu, nu, d: int) -> int:
     return _ribbon_value(total, lam.parts, mu.parts, nu.parts, d)
 
 
-def gw_table(ctx: GrassContext, dmax: int, route=gw_ribbon) -> CoeffTable:
-    """Full table of C_{lam mu}^{nu, d} for d <= dmax, nonzero entries only: the
-    default route reads each pair's reduced product, another is called per triple."""
+def gw_table(ctx: GrassContext, dmax: int, route=None) -> CoeffTable:
+    """Full table of C_{lam mu}^{nu, d} for d <= dmax, nonzero entries only: without
+    a route it reads each pair's reduced product, a route is called per lawful triple."""
     table = CoeffTable(ctx.n, ctx.k, "C")
     table.metadata = {
         "kind": "gromov-witten",
         "orientation": "entry (lambda, mu, nu, d) holds C_{lambda mu}^{nu, d}",
         "level_rank": "C_{lambda mu}^{nu, d} equals the conjugated entry of Gr(n-k, n)",
     }
-    if route is gw_ribbon:
+    if route is None:
         for lam in ctx.boxed:
             for mu in ctx.boxed:
                 for (nu, d), total in _reduced_product(ctx, lam, mu).items():

@@ -344,9 +344,6 @@ class AlcoveWeight:
     def size(self) -> int:
         return sum(self.parts)
 
-    def stab_order(self) -> int:
-        return stab_order(self.parts)
-
     def quantum_dim(self) -> int:
         return quantum_dim(self.parts, self.k)
 

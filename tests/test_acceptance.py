@@ -148,9 +148,7 @@ def test_criterion_05_hopf_identities():
         for mu in alcove:
             for d in range(0, 2):
                 assert antipode_check(lam, d, mu), (lam.parts, d, mu.parts)
-                assert coproduct_cyl_check(lam, d, mu, degree_bound=5), (
-                    lam.parts, d, mu.parts,
-                )
+                assert coproduct_cyl_check(lam, d, mu), (lam.parts, d, mu.parts)
                 for (_, _), c in cyl_in_nonskew(lam, d, mu).items():
                     assert c >= 0
     _announce("criterion 5: antipode/coproduct identities and subcoalgebra positivity")

@@ -145,10 +145,11 @@ def test_verify_coalgebra_detects_a_wrong_antipode_row(capsys, monkeypatch):
 
 
 def test_verify_single_suite(capsys):
+    # k = 1 adds the 3 modular relation checks to 9 orthogonality, 9 S-inverse and 3 T checks
     code, out, _ = run(capsys, "verify", "orthogonality", "--n", "3", "--k", "1")
-    assert code == 0
-    # k = 1 runs the modular relation checks too
-    assert "modular" not in out or True
+    assert (code, out) == (0, "monomial orthogonality (n=3, k=1): 24 checks, ok\n")
+    code, out, _ = run(capsys, "verify", "orthogonality", "--n", "3", "--k", "2")
+    assert (code, out) == (0, "monomial orthogonality (n=3, k=2): 78 checks, ok\n")
 
 
 def test_output_file(tmp_path, capsys):
@@ -207,6 +208,21 @@ def test_negative_degree_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "all", "--n", "0", "--k", "2"), "n and k must be positive"),
+        (("fusion", "--n", "3", "--k", "0"), "n and k must be positive"),
+        (("cyl", "s", "--n", "3", "--k", "3", "--lambda", "-", "--mu", "-", "--d", "0"), "(n=3, k=3)"),
+    ],
+    ids=["verify-n0", "fusion-k0", "cyl-s-k-equals-n"],
+)
+def test_bad_context_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_parser_built_once_serves_every_call(capsys):

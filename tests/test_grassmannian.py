@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import cylsym
+from cylsym import grassmannian
 from cylsym.affine import CylindricShape
 from cylsym.cylindric import phi_cyl, phi_cyl_oracle, psi_cyl
 from cylsym.fusion import CoeffTable
@@ -37,6 +38,7 @@ from cylsym.partitions import (
     ContextMismatchError,
     conjugate,
     enumerate_alcove,
+    lawful_rows,
     partitions_of,
     partitions_with_core,
 )
@@ -417,12 +419,29 @@ def test_default_table_matches_bvi_on_edges_and_samples():
 
 
 def test_per_pair_table_equals_the_per_triple_calls():
-    # a lambda is not gw_ribbon itself, so gw_table calls it once per triple
     for n, k, dmax in [(8, 4, 2), (7, 3, 1), (7, 1, 2), (5, 4, 2)]:
         ctx = grass_context(n, k)
         table = gw_table(ctx, dmax)
-        per_triple = gw_table(ctx, dmax, route=lambda *a: gw_ribbon(*a))
+        per_triple = gw_table(ctx, dmax, route=gw_ribbon)
         assert table.entries and table.entries == per_triple.entries, (n, k, dmax)
+
+
+def test_explicit_ribbon_route_is_called_per_triple(monkeypatch):
+    # gw_ribbon boxes its three indices once per call; the pair products box none
+    calls = []
+    as_boxed = grassmannian._as_boxed
+
+    def counted(ctx, bar):
+        calls.append(bar)
+        return as_boxed(ctx, bar)
+
+    monkeypatch.setattr(grassmannian, "_as_boxed", counted)
+    ctx = grass_context(5, 2)
+    table = gw_table(ctx, 2)
+    assert calls == []
+    assert gw_table(ctx, 2, route=gw_ribbon).entries == table.entries
+    triples = sum(len(row) for _, _, row in lawful_rows(ctx.boxed, ctx.n, 2))
+    assert len(calls) == 3 * triples > 0
 
 
 def test_gw_golden_table():
@@ -458,6 +477,15 @@ def test_ribbon_integrality_check_survives_optimize():
         "    pass\n"
         "else:\n"
         "    raise SystemExit('gw_ribbon returned a value')\n"
+        "ctx = gr.GrassContext(4, 2)\n"
+        "ctx.denom_inv = {s: -v for s, v in ctx.denom_inv.items()}\n"
+        "try:\n"
+        "    gr.gw_bvi(ctx, (1,), (1,), (2,), 0)\n"
+        "except ValueError as exc:\n"
+        "    if 'negative' not in str(exc):\n"
+        "        raise SystemExit(f'gw_bvi raised {exc}')\n"
+        "else:\n"
+        "    raise SystemExit('gw_bvi returned a negative value')\n"
         "for bad in (Fraction(1, 2), -1):\n"
         "    gr._reduced_product = lambda ctx, lam, mu: {((2,), 0): bad}\n"
         "    try:\n"
