@@ -17,6 +17,7 @@ from .partitions import (
     BoxedPartition,
     Weight,
     boxed_from_strict,
+    reduce_to_alcove,
     staircase,
 )
 
@@ -240,10 +241,5 @@ def shifted_reduce(values: Weight, n: int, k: int) -> BoxedPartition | None:
     """
     if len(values) != k:
         raise ValueError("rank mismatch")
-    rho = staircase(k)
-    shifted = [v + r for v, r in zip(values, rho)]
-    reduced = [(s - 1) % n + 1 for s in shifted]
-    if len(set(reduced)) != k:
-        return None
-    strict = AlcoveWeight(tuple(sorted(reduced, reverse=True)), n, k)
-    return boxed_from_strict(strict)
+    strict, _ = reduce_to_alcove(tuple(v + r for v, r in zip(values, staircase(k))), n, k)
+    return boxed_from_strict(strict) if strict.is_strict() else None

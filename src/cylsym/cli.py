@@ -8,6 +8,8 @@ rendered canonically.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from functools import lru_cache
 from itertools import chain
@@ -43,8 +45,8 @@ def _partition_arg(text: str):
 
 
 def _write(chunks, path: str | None):
-    """Send the chunks to the file at path, or to stdout without one, and end
-    with a newline if the last chunk lacks one."""
+    """Send the chunks to the file at path, or to stdout without one, ending with
+    a newline; a failed write (a closed pipe, a full device) is a usage error."""
 
     def ended():
         last = ""
@@ -53,14 +55,19 @@ def _write(chunks, path: str | None):
         if not last.endswith("\n"):
             yield "\n"
 
-    if not path:
-        sys.stdout.writelines(ended())
-        return
     try:
-        with open(path, "w") as fh:
-            fh.writelines(ended())
+        if path:
+            with open(path, "w") as fh:
+                fh.writelines(ended())
+        else:
+            sys.stdout.writelines(ended())
+            sys.stdout.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        if not path:
+            # the unwritten buffer then goes to /dev/null at exit, not to a traceback
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {path or 'stdout'}: {exc.strerror}") from None
 
 
 def _table_text(table: fu.CoeffTable) -> str:
@@ -199,12 +206,15 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     chosen = SUITES if args.suite == "all" else (args.suite,)
-    failed = False
-    for name in chosen:
-        rep = SUITES[name](args.n, args.k)
-        print(rep.summary())
-        failed = failed or not rep.ok
-    return 1 if failed else 0
+    reports = []
+
+    def summaries():  # one line per suite as soon as it has run
+        for name in chosen:
+            reports.append(SUITES[name](args.n, args.k))
+            yield reports[-1].summary() + "\n"
+
+    _write(summaries(), None)
+    return 0 if all(rep.ok for rep in reports) else 1
 
 
 @lru_cache(maxsize=None)

@@ -21,15 +21,14 @@ from .partitions import (
     Partition,
     _comb0,
     _conj_padded,
+    _orbit_ratio,
     _scan_successors,
     distinct_permutations,
     enumerate_alcove,
     multiplicity,
     normalize,
     partitions_of,
-    reduce_to_alcove,
     size,
-    stab_order,
     transfer,
     transfer_expansion,
     z_factor,
@@ -299,15 +298,10 @@ def nonskew_cyl_h(lam: AlcoveWeight, d: int) -> SymFunc:
         return SymFunc.make("h", {})
     target = lam.size + d * n
     out = {}
-    s_lam = stab_order(lam.parts)
     for nu in partitions_of(target, max_len=k):
-        padded = tuple(nu) + (0,) * (k - len(nu))
-        rep, _ = reduce_to_alcove(padded, n, k)
+        rep, ratio = _orbit_ratio(tuple(nu) + (0,) * (k - len(nu)), n, k)
         if rep == lam:
-            num, rem = divmod(s_lam, stab_order(padded))
-            if rem:
-                raise ValueError(f"orbit coefficient at {nu} is not an integer")
-            out[nu] = Fraction(num)
+            out[nu] = Fraction(ratio)
     return SymFunc.make("h", out)
 
 
@@ -316,11 +310,9 @@ def cyl_in_nonskew(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> dict:
     lam.same_context(mu)
     n, k = lam.n, lam.k
     out = {}
-    for d_prime in range(0, d + k + 1):
-        target = d_prime * n + lam.size - mu.size
-        for sigma in enumerate_alcove(n, k):
-            if sigma.size != target:
-                continue
+    for sigma in enumerate_alcove(n, k):
+        d_prime, rem = divmod(sigma.size - lam.size + mu.size, n)
+        if rem == 0 and 0 <= d_prime <= d + k:
             c = fusion_count(lam.parts, mu.parts, sigma.parts, n, k)
             if c:
                 out[(sigma, k + d - d_prime)] = c

@@ -3,7 +3,7 @@ Frobenius identity suite.
 
 The three routes: counting pairs of rearrangements (the defining cardinality),
 the root-of-unity orthogonality sum (Verlinde), and reduction of out-of-alcove
-indices by stabiliser multinomials.
+indices by stabiliser ratios.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 from .cyclotomic import CycloNum, NonIntegralError, eval_msym, msym_exponents, sqrt_int, zeta_pow
@@ -20,13 +20,12 @@ from .partitions import (
     AlcoveWeight,
     Partition,
     Weight,
+    _orbit_ratio,
     distinct_permutations,
     enumerate_alcove,
     format_partition,
     lawful_rows,
-    multiplicity,
     normalize,
-    reduce_to_alcove,
     stab_order,
 )
 
@@ -180,34 +179,15 @@ def n_verlinde(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu: Alco
 
 
 def n_reduce(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:
-    """Reduction route: pull a dominant nu back into the alcove by multinomials."""
+    """Reduction route: pull a dominant nu back into the alcove point nu_bar of
+    its orbit; the multiplier is the stabiliser ratio |S_nu_bar| / |S_nu|."""
     ctx._check(lam, mu, nu)
     nu_parts = nu.parts if isinstance(nu, AlcoveWeight) else normalize(nu)
     padded = tuple(nu_parts) + (0,) * (ctx.k - len(nu_parts))
     if len(padded) != ctx.k:
         raise ValueError(f"{nu_parts} has more than {ctx.k} parts")
-    nu_check, _ = reduce_to_alcove(padded, ctx.n, ctx.k)
-    mult = 1
-    for i in range(1, ctx.n + 1):
-        mult *= comb_multinomial(
-            multiplicity(nu_check.parts, i),
-            [multiplicity(padded, v) for v in range(i % ctx.n, max(padded) + 1, ctx.n)],
-        )
-    base = fusion_count(lam.parts, mu.parts, nu_check.parts, ctx.n, ctx.k)
-    return base * mult
-
-
-def comb_multinomial(total: int, parts) -> int:
-    parts = [p for p in parts if p]
-    if sum(parts) != total:
-        # multiplicities must refill the alcove class exactly
-        return 0 if total or parts else 1
-    out = 1
-    remaining = total
-    for p in parts:
-        out *= comb(remaining, p)
-        remaining -= p
-    return out
+    nu_bar, mult = _orbit_ratio(padded, ctx.n, ctx.k)
+    return mult * fusion_count(lam.parts, mu.parts, nu_bar.parts, ctx.n, ctx.k)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +408,8 @@ def modular_relations_check(n: int) -> Report:
         [zeta_pow(big, 24 * a * b) * inv_sqrt for b in range(1, n + 1)]
         for a in range(1, n + 1)
     ]
-    T = [
-        [
-            zeta_pow(big, -n * (n - 1) + 12 * a * (n - a)) if a == b else CycloNum.zero(big)
-            for b in range(1, n + 1)
-        ]
-        for a in range(1, n + 1)
-    ]
+    phases = [t for _, t in t_matrix(FusionContext(n, 1))]  # alcove (1,), ..., (n,)
+    T = [[t if a == b else CycloNum.zero(big) for b in range(n)] for a, t in enumerate(phases)]
     C = [
         [
             CycloNum.from_rational(big, 1 if (a + b) % n == 0 else 0)

@@ -12,12 +12,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .cyclotomic import CycloNum, eval_alternant
+from .cylindric import _psi_cyl
 from .fusion import CoeffTable, Report
 from .partitions import (
     AlcoveWeight,
     BoxedPartition,
     Partition,
-    _conj_padded,
     _scan_successors,
     beta_numbers,
     boxed_from_strict,
@@ -245,35 +245,25 @@ def level_rank_check(ctx: GrassContext, dmax: int = 2) -> Report:
 # shifted-cylinder strips and quantum Kostka numbers
 
 
-def _strip_ok(lam: BoxedPartition, de: int, mu: BoxedPartition, row_strict: bool) -> bool:
-    """Is the shifted-cylinder shape lam/de/mu a vertical (row_strict) or a
-    horizontal strip?  Read off the column counts of the strict weights
-    lam~ = lam + rho and mu~ = mu + rho, padded to n + 1 entries: with
-    m_c = lam~'_c - lam~'_(c+1) in {0, 1} and e_c = lam~'_c + de - mu~'_c, a
-    vertical strip has 0 <= e_c <= m_c (psi != 0), and a horizontal strip, a
-    vertical strip of the conjugates in Gr(n-k, n), has 0 <= e_(c+1) <= 1 - m_c,
-    for c = 1..n (e_(n+1) = de = e_1)."""
-    n = lam.n
-    lamc = _conj_padded(lam.to_strict().parts, n + 1)
-    muc = _conj_padded(mu.to_strict().parts, n + 1)
-    for c in range(n):
-        m = lamc[c] - lamc[c + 1]
-        if row_strict:
-            if not 0 <= lamc[c] + de - muc[c] <= m:
-                return False
-        elif not 0 <= lamc[c + 1] + de - muc[c + 1] <= 1 - m:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _strip_weight(lam: BoxedPartition, row_strict: bool) -> Partition:
+    """The strict weight whose psi steps are the strips on lam: lam + rho for
+    vertical (row_strict) strips, and for horizontal ones the strict weight of
+    the conjugate in Gr(n-k, n)."""
+    return (lam if row_strict else lam.conjugate_boxed()).to_strict().parts
 
 
 @lru_cache(maxsize=None)
 def _strip_successors(mu: BoxedPartition, r: int, row_strict: bool) -> tuple:
     """(lam, winding, 1) for every strip of r boxes on mu, by one scan of the
-    boxed partitions with `_strip_ok` as a 0/1 step weight."""
-    return _scan_successors(
-        enumerate_boxed(mu.n, mu.k), mu, r,
-        lambda outer, de, inner: int(_strip_ok(outer, de, inner, row_strict)),
-    )
+    boxed partitions.  On strict weights psi is 0 or 1: a vertical strip is
+    psi != 0, and a horizontal strip is a vertical strip of the conjugates."""
+    inner = _strip_weight(mu, row_strict)
+
+    def psi(lam, de, _mu):
+        return _psi_cyl(_strip_weight(lam, row_strict), de, inner, mu.n)
+
+    return _scan_successors(enumerate_boxed(mu.n, mu.k), mu, r, psi)
 
 
 def quantum_kostka(ctx: GrassContext, lam, d: int, mu, alpha, row_strict: bool = False) -> int:
@@ -486,11 +476,9 @@ def mcnamara_expand(ctx: GrassContext, lam, d: int, mu) -> dict:
     """Coefficients {(nu, d - d'): C_{mu nu}^{lam, d'}} of the non-skew expansion."""
     lam, mu = _as_boxed(ctx, lam), _as_boxed(ctx, mu)
     out = {}
-    for d_prime in range(0, d + 1):
-        target = lam.size + ctx.n * d_prime - mu.size
-        for nu in ctx.boxed:
-            if nu.size != target:
-                continue
+    for nu in ctx.boxed:
+        d_prime, rem = divmod(nu.size - lam.size + mu.size, ctx.n)
+        if rem == 0 and 0 <= d_prime <= d:
             c = gw_bvi(ctx, mu, nu, lam, d_prime)
             if c:
                 out[(nu, d - d_prime)] = c

@@ -497,3 +497,16 @@ def reduce_to_alcove(nu: Weight, n: int, k: int) -> tuple[AlcoveWeight, int]:
     if rem:
         raise ValueError(f"level-{n} reduction of {nu} changed the size by a non-multiple of n")
     return lam, d
+
+
+def _orbit_ratio(nu: Weight, n: int, k: int) -> tuple[AlcoveWeight, int]:
+    """The alcove point lam of the level-n orbit of nu, with |S_lam| / |S_nu|.
+
+    Reduction maps equal entries to equal entries, so S_nu is a subgroup of
+    S_lam and the ratio is an integer: the orbit multiplicity of nu.
+    """
+    lam, _ = reduce_to_alcove(nu, n, k)
+    ratio, rem = divmod(stab_order(lam.parts), stab_order(nu))
+    if rem:
+        raise ValueError(f"orbit coefficient at {nu} is not an integer")
+    return lam, ratio

@@ -3,7 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -194,6 +197,40 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+SRC = str(Path(cylsym.__file__).resolve().parent.parent)
+
+
+def run_with_stdout(stdout, argv, buffered):
+    """Run the command line in a fresh interpreter with the given stdout."""
+    env = {key: v for key, v in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "cylsym.cli", *argv]
+    return subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exit_2(buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = run_with_stdout(write_end, ["fusion", "--n", "3", "--k", "2", "--format", "csv"], buffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_full_stdout_device_exit_2(buffered):
+    with open("/dev/full", "w") as full:
+        proc = run_with_stdout(full, ["verify", "symmetry", "--n", "3", "--k", "2"], buffered)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 @pytest.mark.parametrize(

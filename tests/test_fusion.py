@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -32,8 +33,10 @@ from cylsym.grassmannian import grass_context, gw_table
 from cylsym.partitions import (
     AlcoveWeight,
     ContextMismatchError,
+    _orbit_ratio,
     enumerate_alcove,
     format_partition,
+    multiplicity,
     partitions_of,
 )
 
@@ -160,6 +163,29 @@ def test_n_reduce_extended():
                 for nu in partitions_of(total, max_part=6, max_len=2):
                     direct = fusion_count(lam.parts, mu.parts, nu, 3, 2)
                     assert n_reduce(ctx, lam, mu, nu) == direct, (lam, mu, nu)
+
+
+def multinomial_product(nu_bar, nu, n):
+    """prod over alcove values i of the multinomial m_i(nu_bar)! / prod m_v(nu)!
+    over the entries v = i mod n of nu that reduce to i."""
+    out = 1
+    for i in range(1, n + 1):
+        remaining = multiplicity(nu_bar, i)
+        for v in range(i % n, max(nu) + 1, n):
+            out *= comb(remaining, multiplicity(nu, v))
+            remaining -= multiplicity(nu, v)
+        assert remaining == 0, (nu_bar, nu, i)
+    return out
+
+
+def test_orbit_ratio_is_the_multinomial_product():
+    for n in range(1, 7):
+        for k in range(1, 5):
+            for total in range(3 * n + 2):
+                for nu in partitions_of(total, max_len=k):
+                    padded = nu + (0,) * (k - len(nu))
+                    nu_bar, ratio = _orbit_ratio(padded, n, k)
+                    assert ratio == multinomial_product(nu_bar.parts, padded, n), (n, k, nu)
 
 
 SYMMETRY_CHECKS = {(3, 2): 2268, (4, 3): 193200, (4, 2): 14300, (3, 3): 14300, (5, 2): 64800}

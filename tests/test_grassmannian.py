@@ -32,12 +32,14 @@ from cylsym.grassmannian import (
     schur_product_coeff,
     toric_schur,
 )
-from cylsym.grassmannian import _strip_ok
+from cylsym.grassmannian import _strip_successors
 from cylsym.partitions import (
     BoxedPartition,
     ContextMismatchError,
+    _conj_padded,
     conjugate,
     enumerate_alcove,
+    enumerate_boxed,
     lawful_rows,
     partitions_of,
     partitions_with_core,
@@ -49,6 +51,31 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 def boxed(parts, n, k):
     return BoxedPartition(parts, n, k)
+
+
+def is_strip(lam, de, mu, row_strict):
+    """Is lam/de/mu a vertical (row_strict) or a horizontal strip, read off
+    the successors of mu that the Kostka transfer walks?"""
+    r = lam.size + lam.n * de - mu.size
+    return r >= 0 and (lam, de, 1) in _strip_successors(mu, r, row_strict)
+
+
+def column_count_strip(lam, de, mu, row_strict):
+    """Independent strip test on the column counts of lam~ = lam + rho and
+    mu~ = mu + rho, padded to n + 1 entries: with m_c = lam~'_c - lam~'_(c+1)
+    in {0, 1} and e_c = lam~'_c + de - mu~'_c, a vertical strip has
+    0 <= e_c <= m_c, and a horizontal strip 0 <= e_(c+1) <= 1 - m_c, c = 1..n."""
+    n = lam.n
+    lamc = _conj_padded(lam.to_strict().parts, n + 1)
+    muc = _conj_padded(mu.to_strict().parts, n + 1)
+    for c in range(n):
+        m = lamc[c] - lamc[c + 1]
+        if row_strict:
+            if not 0 <= lamc[c] + de - muc[c] <= m:
+                return False
+        elif not 0 <= lamc[c + 1] + de - muc[c + 1] <= 1 - m:
+            return False
+    return True
 
 
 def test_bvi_classical_anchors():
@@ -130,7 +157,7 @@ def test_quantum_pieri_matches_horizontal_strips():
                     if total < 0 or total % n:
                         continue
                     d = total // n
-                    expect = 1 if _strip_ok(lam, d, mu, row_strict) else 0
+                    expect = 1 if is_strip(lam, d, mu, row_strict) else 0
                     assert gw_bvi(ctx, factor, mu, lam, d) == expect, (n, k, parts, lam.parts, mu.parts, d)
 
 
@@ -147,8 +174,8 @@ def test_closed_forms_match_the_cell_geometry():
                     diagonals = [(i + j) % (n - k) for i, j in shape.cells()]
                     vertical = valid and max(shape.row_counts()) <= 1
                     horizontal = valid and len(set(diagonals)) == len(diagonals)
-                    assert _strip_ok(lam, de, mu, True) == vertical
-                    assert _strip_ok(lam, de, mu, False) == horizontal
+                    assert is_strip(lam, de, mu, True) == vertical
+                    assert is_strip(lam, de, mu, False) == horizontal
     rng = random.Random(9)
     for n, k in [(7, 3), (6, 4)]:
         alcove = enumerate_alcove(n, k)
@@ -163,6 +190,23 @@ def test_closed_forms_match_the_cell_geometry():
             hits[0] += phi > 0
             hits[1] += vertical
         assert all(hits), (n, k, hits)
+
+
+def test_strip_successors_match_the_column_counts():
+    # psi on the strict weights against the column-count predicate, both kinds
+    for n in range(2, 8):
+        for k in range(1, n):
+            states = enumerate_boxed(n, k)
+            for row_strict in (True, False):
+                for mu in states:
+                    for r in range(1, 2 * n + 1):
+                        expect = []
+                        for lam in states:
+                            de, rem = divmod(mu.size + r - lam.size, n)
+                            if rem == 0 and de >= 0 and column_count_strip(lam, de, mu, row_strict):
+                                expect.append((lam, de, 1))
+                        assert _strip_successors(mu, r, row_strict) == tuple(expect), (mu, r, row_strict)
+
 
 
 # -- quantum Kostka numbers ------------------------------------------------------
