@@ -17,7 +17,7 @@ from itertools import chain
 from . import fusion as fu
 from . import grassmannian as gr
 from .cylindric import (
-    antipode_check,
+    antipode_row,
     cyl_e,
     cyl_h,
     coproduct_cyl_check,
@@ -165,9 +165,10 @@ def _suite_route_equivalence(n: int, k: int) -> fu.Report:
 def _suite_coalgebra(n: int, k: int) -> fu.Report:
     rep = fu.Report(f"coalgebra (n={n}, k={k})")
     alcove = enumerate_alcove(n, k)
+    antipode = {mu: antipode_row(mu, 1) for mu in alcove}
     for lam in alcove:
         for mu in alcove:
-            rep.run(antipode_check(lam, 1, mu), "antipode at {}/1/{}", lam.parts, mu.parts)
+            rep.run(antipode[mu][lam], "antipode at {}/1/{}", lam.parts, mu.parts)
             for (sigma, e), c in cyl_in_nonskew(lam, 1, mu).items():
                 rep.run(
                     c >= 0, "positivity at {}/1/{} -> {},{}", lam.parts, mu.parts, sigma.parts, e

@@ -231,10 +231,26 @@ def phi_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
     return _weight(lam, d, mu, nu, "adjacent-column")
 
 
+def _expansions(mu: AlcoveWeight, ends, kind: str) -> dict:
+    """{(lam, d): {partition nu: weighted CRPP count of shape lam/d/mu}} for
+    every end (lam, d), all read from one walk out of mu."""
+    degrees = {(lam, d): lam.size - mu.size + mu.n * d for lam, d in ends}
+    return transfer_expansion(mu, degrees, lambda w, r: _successors(w, r, kind))
+
+
 def _weight_expansion(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str) -> dict:
     """Coefficients {partition nu: weighted CRPP count}."""
-    deg = lam.size - mu.size + lam.n * d
-    return transfer_expansion(mu, lam, d, deg, lambda w, r: _successors(w, r, kind))
+    return _expansions(mu, [(lam, d)], kind)[(lam, d)]
+
+
+def weight_row(mu: AlcoveWeight, d: int, kind: str) -> dict:
+    """{lam: expansion of lam/d/mu} over the alcove, by one walk out of mu."""
+    table = _expansions(mu, [(lam, d) for lam in enumerate_alcove(mu.n, mu.k)], kind)
+    return {lam: expansion for (lam, _), expansion in table.items()}
+
+
+def _monomials(table: dict) -> SymFunc:
+    return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +259,12 @@ def _weight_expansion(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str) ->
 
 def cyl_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
     """Cylindric complete symmetric function, expanded over monomials."""
-    table = _weight_expansion(lam, d, mu, "general")
-    return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
+    return _monomials(_weight_expansion(lam, d, mu, "general"))
 
 
 def cyl_e(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
     """Cylindric elementary symmetric function, expanded over monomials."""
-    table = _weight_expansion(lam, d, mu, "row-strict")
-    return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
+    return _monomials(_weight_expansion(lam, d, mu, "row-strict"))
 
 
 def cyl_h_in_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
@@ -467,29 +481,43 @@ def enumerate_crpp(
 
 
 def coproduct_cyl_check(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str = "h") -> bool:
-    """Check Delta(f_{lam/d/mu}) = sum over d1+d2=d, nu of f_{lam/d1/nu} (x) f_{nu/d2/mu}."""
+    """Check Delta(f_{lam/d/mu}) = sum over d1+d2=d, nu of f_{lam/d1/nu} (x) f_{nu/d2/mu}.
+
+    f_{lam/d/mu} and every right factor come from one walk out of mu."""
     if kind not in ("h", "e"):
         raise ValueError(kind)
-    fn = cyl_h if kind == "h" else cyl_e
-    lhs = coproduct(fn(lam, d, mu), bases=("m", "m"))
+    step = "general" if kind == "h" else "row-strict"
+    alcove = enumerate_alcove(lam.n, lam.k)
+    ends = {(nu, d2) for d2 in range(d + 1) for nu in alcove} | {(lam, d)}
+    right = _expansions(mu, ends, step)
+    lhs = coproduct(_monomials(right[(lam, d)]), bases=("m", "m"))
     rhs: dict = {}
     for d1 in range(0, d + 1):
-        d2 = d - d1
-        for nu in enumerate_alcove(lam.n, lam.k):
-            left = fn(lam, d1, nu)
-            if left.is_zero():
+        for nu in alcove:
+            factor = right[(nu, d - d1)]
+            left = _weight_expansion(lam, d1, nu, step) if factor else {}
+            if not left:
                 continue
-            right = fn(nu, d2, mu)
-            if right.is_zero():
-                continue
-            for key, c in tensor(left, right).coeffs:
+            for key, c in tensor(_monomials(left), _monomials(factor)).coeffs:
                 rhs[key] = rhs.get(key, Fraction(0)) + c
     return lhs == TensorSymFunc.make(("m", "m"), rhs)
+
+
+def _antipode_holds(h: SymFunc, e: SymFunc, deg: int) -> bool:
+    return antipode(h) == e * (-1 if deg % 2 else 1)
 
 
 def antipode_check(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> bool:
     """gamma(h_{lam/d/mu}) = (-1)^(degree) e_{lam/d/mu}."""
     deg = lam.size - mu.size + lam.n * d
-    lhs = antipode(cyl_h(lam, d, mu))
-    rhs = cyl_e(lam, d, mu) * (-1 if deg % 2 else 1)
-    return lhs == rhs
+    return _antipode_holds(cyl_h(lam, d, mu), cyl_e(lam, d, mu), deg)
+
+
+def antipode_row(mu: AlcoveWeight, d: int) -> dict:
+    """{lam: antipode_check(lam, d, mu)} over the alcove, from one general and
+    one row-strict walk out of mu."""
+    h, e = weight_row(mu, d, "general"), weight_row(mu, d, "row-strict")
+    return {
+        lam: _antipode_holds(_monomials(h[lam]), _monomials(e[lam]), lam.size - mu.size + mu.n * d)
+        for lam in h
+    }

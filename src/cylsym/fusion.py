@@ -276,40 +276,81 @@ def build_table(ctx: FusionContext, dmax: int | None = None, keep_zero: bool = F
 
 def symmetry_suite(ctx: FusionContext) -> Report:
     """Unit, commutativity, star/rotation covariance, associativity and the
-    quantum-dimension sum rule, checked exhaustively over the alcove."""
+    quantum-dimension sum rule, checked exhaustively over the alcove.
+
+    Whole rows are compared at once, and a row that fails is checked again
+    entry by entry, so the witnesses come out in the order of the per-entry
+    loops.  Associativity packs each row N[s][l] into one integer with W-bit
+    slots (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009): a
+    slot of either side is at most |A| max(N)^2 < 2^W when no entry is
+    negative, so one integer comparison settles |A| checks.  An array with a
+    negative entry is checked entry by entry throughout.
+    """
     rep = Report(f"fusion symmetries (n={ctx.n}, k={ctx.k})")
     A = ctx.alcove
     N = ctx.fusion
+    m = len(A)
     unit = ctx.unit()
     u = ctx.index[unit.parts]
     star = [ctx.index[a.star().parts] for a in A]
     rot1, rot2, rot3 = ([ctx.index[a.rot(r).parts] for a in A] for r in (1, 2, 3))
     qd = [a.quantum_dim() for a in A]
-    for i, lam in enumerate(A):
-        for j, mu in enumerate(A):
+
+    def pair_entries(i, j):
+        lam, mu = A[i], A[j]
+        rep.run(
+            N[i][u][j] == (1 if i == j else 0),
+            "unit: N_({},{})^{}", lam.parts, unit.parts, mu.parts,
+        )
+        expect = qd[i] if star[i] == j else 0
+        rep.run(N[i][j][u] == expect, "eta: N_({},{})^{}", lam.parts, mu.parts, unit.parts)
+        for l, nu in enumerate(A):
+            v = N[i][j][l]
+            rep.run(v == N[j][i][l], "commutativity at {},{},{}", lam.parts, mu.parts, nu.parts)
             rep.run(
-                N[i][u][j] == (1 if i == j else 0),
-                "unit: N_({},{})^{}", lam.parts, unit.parts, mu.parts,
+                v == N[star[i]][star[j]][star[l]],
+                "star covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
             )
-            expect = qd[i] if star[i] == j else 0
-            rep.run(N[i][j][u] == expect, "eta: N_({},{})^{}", lam.parts, mu.parts, unit.parts)
-            for l, nu in enumerate(A):
-                v = N[i][j][l]
-                rep.run(v == N[j][i][l], "commutativity at {},{},{}", lam.parts, mu.parts, nu.parts)
-                rep.run(
-                    v == N[star[i]][star[j]][star[l]],
-                    "star covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
-                )
-                rep.run(
-                    v * qd[l] == qd[i] * N[j][star[l]][star[i]],
-                    "dual symmetry at {},{},{}", lam.parts, mu.parts, nu.parts,
-                )
-                rep.run(
-                    v == N[rot1[i]][rot2[j]][rot3[l]],
-                    "rotation covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
-                )
+            rep.run(
+                v * qd[l] == qd[i] * N[j][star[l]][star[i]],
+                "dual symmetry at {},{},{}", lam.parts, mu.parts, nu.parts,
+            )
+            rep.run(
+                v == N[rot1[i]][rot2[j]][rot3[l]],
+                "rotation covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
+            )
+
+    for i in range(m):
+        for j in range(m):
+            row, si = N[i][j], star[i]
+            if (
+                N[i][u][j] == (1 if i == j else 0)
+                and row[u] == (qd[i] if si == j else 0)
+                and row == N[j][i]
+                and row == [N[si][star[j]][x] for x in star]
+                and [v * q for v, q in zip(row, qd)] == [qd[i] * N[j][x][si] for x in star]
+                and row == [N[rot1[i]][rot2[j]][x] for x in rot3]
+            ):
+                rep.checks += 2 + 4 * m
+            else:
+                pair_entries(i, j)
+
     # the quantum dimension sum rule, and associativity as the fusion-matrix
     # identity sum_s N_{lam mu}^s N_s = N_mu N_lam with (N_x)[a][b] = N_{xa}^b
+    def associativity_entries(i, j, l, lam_mu, mu_nu):
+        for r, rho in enumerate(A):
+            left = sum(c * N[s][l][r] for s, c in lam_mu)
+            right = sum(c * N[i][s][r] for s, c in mu_nu)
+            rep.run(
+                left == right,
+                "associativity at {},{},{},{}", A[i].parts, A[j].parts, A[l].parts, rho.parts,
+            )
+
+    entries = [v for plane in N for row in plane for v in row]
+    packed = None
+    if min(entries) >= 0:
+        width = (m * max(entries) ** 2).bit_length()
+        packed = [[sum(v << (width * r) for r, v in enumerate(row)) for row in plane] for plane in N]
     for i, lam in enumerate(A):
         for j, mu in enumerate(A):
             rep.run(
@@ -317,15 +358,14 @@ def symmetry_suite(ctx: FusionContext) -> Report:
                 "dimension rule at {},{}", lam.parts, mu.parts,
             )
             lam_mu = [(s, c) for s, c in enumerate(N[i][j]) if c]
-            for l, nu in enumerate(A):
+            for l in range(m):
                 mu_nu = [(s, c) for s, c in enumerate(N[j][l]) if c]
-                for r, rho in enumerate(A):
-                    left = sum(c * N[s][l][r] for s, c in lam_mu)
-                    right = sum(c * N[i][s][r] for s, c in mu_nu)
-                    rep.run(
-                        left == right,
-                        "associativity at {},{},{},{}", lam.parts, mu.parts, nu.parts, rho.parts,
-                    )
+                if packed is not None and sum(c * packed[s][l] for s, c in lam_mu) == sum(
+                    c * packed[i][s] for s, c in mu_nu
+                ):
+                    rep.checks += m
+                else:
+                    associativity_entries(i, j, l, lam_mu, mu_nu)
     return rep
 
 

@@ -283,9 +283,9 @@ def _kostka_expansion(ctx: GrassContext, lam: BoxedPartition, d: int, mu: BoxedP
     """{partition: count} over all weights with entries inside the strip bound."""
     deg = lam.size - mu.size + ctx.n * d
     bound = ctx.k if row_strict else ctx.n - ctx.k
-    return transfer_expansion(
-        mu, lam, d, deg, lambda w, r: _strip_successors(w, r, row_strict), max_part=bound
-    )
+    end = (lam, d)
+    successors = lambda w, r: _strip_successors(w, r, row_strict)
+    return transfer_expansion(mu, {end: deg}, successors, max_part=bound)[end]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ def chi_weight(ctx: GrassContext, lam, d: int, mu, nu) -> int:
 def _chi_expansion(ctx: GrassContext, lam: BoxedPartition, d: int, mu: BoxedPartition) -> dict:
     """{partition: signed ribbon count} over all weights of the right size."""
     deg = lam.size - mu.size + ctx.n * d
-    table = transfer_expansion(mu, lam, d, deg, _ribbon_successors)
+    table = transfer_expansion(mu, {(lam, d): deg}, _ribbon_successors)[(lam, d)]
     if (d * (ctx.k - 1)) % 2:
         return {nu: -c for nu, c in table.items()}
     return table

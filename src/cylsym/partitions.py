@@ -181,27 +181,38 @@ def transfer(start, end, dmax: int, weight, successors) -> int:
     return vec.get((end, dmax), 0)
 
 
-def transfer_expansion(start, end, dmax: int, deg: int, successors, max_part: int | None = None) -> dict:
-    """{nu: transfer(start, end, dmax, nu, successors)} over the partitions nu
-    of deg with parts at most max_part, nonzero values only.
+def transfer_expansion(start, ends: dict, successors, max_part: int | None = None) -> dict:
+    """{end: {nu: transfer(start, state, e, nu, successors)}} for every end
+    (state, e) of `ends`, which maps it to its degree |nu|; the nu are the
+    partitions with parts at most max_part, nonzero values only.
 
-    Partitions are visited in descending order, so each layer vector is
-    computed once for every prefix it shares.
+    One walk serves every end.  Partitions are visited in descending order,
+    so each layer vector is computed once for every prefix it shares, and an
+    end of degree m is read at every node whose prefix has size m.  Windings
+    only grow along a chain, so the walk bounded by the largest winding reads
+    each smaller one exactly.
     """
-    out: dict[Partition, int] = {}
+    out: dict = {end: {} for end in ends}
+    at: dict[int, list] = {}
+    for end, deg in ends.items():
+        if deg >= 0:
+            at.setdefault(deg, []).append(end)
+    if not at:
+        return out
+    top = max(at)
+    dmax = max(e for _, e in ends)
 
-    def rec(prefix: Partition, vec: dict, remaining: int, biggest: int):
-        if remaining == 0:
-            c = vec.get((end, dmax), 0)
+    def rec(prefix: Partition, vec: dict, total: int, biggest: int):
+        for end in at.get(total, ()):
+            c = vec.get(end, 0)
             if c:
-                out[prefix] = c
-            return
-        for r in range(min(biggest, remaining), 0, -1):
+                out[end][prefix] = c
+        for r in range(min(biggest, top - total), 0, -1):
             nxt = _layer(vec, r, dmax, successors)
             if nxt:
-                rec(prefix + (r,), nxt, remaining - r, r)
+                rec(prefix + (r,), nxt, total + r, r)
 
-    rec((), {(start, 0): 1}, deg, deg if max_part is None else max_part)
+    rec((), {(start, 0): 1}, 0, top if max_part is None else max_part)
     return out
 
 

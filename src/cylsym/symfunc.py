@@ -6,9 +6,10 @@ is diagonal.  Equality across bases and hashing pivot through the monomial
 basis, which power sums reach by integer Pieri rows.  Basis conversions are
 computed degree by degree with memoized expansions; the triangular solve
 monomial -> power sum serves only conversions out of the monomial basis.
-The antipode and omega of a monomial expansion stay in the monomial basis,
-in integers, by the antipode of quasisymmetric functions
-(Malvenuto-Reutenauer, J. Algebra 177, 1995; Ehrenborg, Adv. Math. 119, 1996).
+The antipode, omega and the (m, m) coproduct of a monomial expansion stay in
+the monomial basis; the first two run in integers by the antipode of
+quasisymmetric functions (Malvenuto-Reutenauer, J. Algebra 177, 1995;
+Ehrenborg, Adv. Math. 119, 1996).
 """
 
 from __future__ import annotations
@@ -485,8 +486,18 @@ def _p_splits(rho: Partition) -> tuple:
 
 
 def coproduct(f: SymFunc, bases=("p", "p")) -> TensorSymFunc:
-    """Delta with primitive power sums: Delta(p_r) = p_r (x) 1 + 1 (x) p_r."""
+    """Delta with primitive power sums: Delta(p_r) = p_r (x) 1 + 1 (x) p_r.
+
+    A monomial expansion asked for in (m, m) stays in monomials:
+    Delta(m_lam) = sum m_a (x) m_b over the multiset splits (a, b) of lam's
+    parts, each once.  Other bases pivot through p.
+    """
     out: dict = {}
+    if f.basis == "m" and tuple(bases) == ("m", "m"):
+        for lam, c in f.coeffs:
+            for left, right, _ in _p_splits(lam):
+                out[(left, right)] = out.get((left, right), Fraction(0)) + c
+        return TensorSymFunc.make(("m", "m"), out)
     for rho, c in to_p(f).coeffs:
         for left, right, mult in _p_splits(rho):
             key = (left, right)
@@ -593,7 +604,8 @@ def _skew_weight(lam, mu, nu, step_fn) -> int:
 
 def _skew_expansion(lam, mu, step_fn) -> SymFunc:
     lam, mu = normalize(lam), normalize(mu)
-    table = transfer_expansion(mu, lam, 0, size(lam) - size(mu), _skew_successors(lam, step_fn))
+    ends = {(lam, 0): size(lam) - size(mu)}
+    table = transfer_expansion(mu, ends, _skew_successors(lam, step_fn))[(lam, 0)]
     return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
 
 

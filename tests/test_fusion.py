@@ -13,6 +13,7 @@ import cylsym
 from cylsym import fusion
 from cylsym.fusion import (
     CoeffTable,
+    Report,
     FusionContext,
     build_table,
     frobenius_suite,
@@ -206,6 +207,107 @@ def test_symmetry_suite_detects_a_corrupted_entry():
     assert not rep.ok and rep.checks == SYMMETRY_CHECKS[(3, 2)]
     assert rep.failures[0] == "dual symmetry at (1, 1),(1, 1),(2, 1)"
     assert len(rep.failures) == 30
+
+
+def per_entry_symmetry_suite(ctx):
+    """The symmetry suite as one check per entry, the reference for the row checks."""
+    rep = Report(f"fusion symmetries (n={ctx.n}, k={ctx.k})")
+    A = ctx.alcove
+    N = ctx.fusion
+    unit = ctx.unit()
+    u = ctx.index[unit.parts]
+    star = [ctx.index[a.star().parts] for a in A]
+    rot1, rot2, rot3 = ([ctx.index[a.rot(r).parts] for a in A] for r in (1, 2, 3))
+    qd = [a.quantum_dim() for a in A]
+    for i, lam in enumerate(A):
+        for j, mu in enumerate(A):
+            rep.run(
+                N[i][u][j] == (1 if i == j else 0),
+                "unit: N_({},{})^{}", lam.parts, unit.parts, mu.parts,
+            )
+            expect = qd[i] if star[i] == j else 0
+            rep.run(N[i][j][u] == expect, "eta: N_({},{})^{}", lam.parts, mu.parts, unit.parts)
+            for l, nu in enumerate(A):
+                v = N[i][j][l]
+                rep.run(v == N[j][i][l], "commutativity at {},{},{}", lam.parts, mu.parts, nu.parts)
+                rep.run(
+                    v == N[star[i]][star[j]][star[l]],
+                    "star covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
+                )
+                rep.run(
+                    v * qd[l] == qd[i] * N[j][star[l]][star[i]],
+                    "dual symmetry at {},{},{}", lam.parts, mu.parts, nu.parts,
+                )
+                rep.run(
+                    v == N[rot1[i]][rot2[j]][rot3[l]],
+                    "rotation covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
+                )
+    for i, lam in enumerate(A):
+        for j, mu in enumerate(A):
+            rep.run(
+                qd[i] * qd[j] == sum(c * q for c, q in zip(N[i][j], qd)),
+                "dimension rule at {},{}", lam.parts, mu.parts,
+            )
+            lam_mu = [(s, c) for s, c in enumerate(N[i][j]) if c]
+            for l, nu in enumerate(A):
+                mu_nu = [(s, c) for s, c in enumerate(N[j][l]) if c]
+                for r, rho in enumerate(A):
+                    left = sum(c * N[s][l][r] for s, c in lam_mu)
+                    right = sum(c * N[i][s][r] for s, c in mu_nu)
+                    rep.run(
+                        left == right,
+                        "associativity at {},{},{},{}", lam.parts, mu.parts, nu.parts, rho.parts,
+                    )
+    return rep
+
+
+def corrupted(n, k, position, delta):
+    ctx = FusionContext(n, k)
+    i, j, l = position
+    ctx.fusion[i][j][l] += delta
+    return ctx
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (5, 2)])
+def test_symmetry_row_checks_keep_the_per_entry_failures(n, k):
+    m = len(enumerate_alcove(n, k))
+    u = FusionContext(n, k).index[(n,) * k]
+    positions = [(0, 1, 2), (1, 0, u), (u, 2, 2), (m // 2, m // 3, m // 4), (m - 1, m - 1, m - 1)]
+    for position in positions:
+        for delta in (1, 3):
+            got = symmetry_suite(corrupted(n, k, position, delta))
+            expected = per_entry_symmetry_suite(corrupted(n, k, position, delta))
+            assert not expected.ok and got.checks == expected.checks == SYMMETRY_CHECKS[(n, k)]
+            assert got.failures == expected.failures, (position, delta)
+
+
+def test_symmetry_packing_tells_a_carry_shaped_corruption():
+    # +2 in slot r and -1 in slot r + 1 of one row leave the row's packed
+    # integer unchanged when slots are 1 bit wide; the chosen width must not
+    n, k = 4, 2
+    N = FusionContext(n, k).fusion
+    s, l, r = next((s, l, r) for s in range(len(N)) for l in range(len(N))
+                   for r in range(len(N) - 1) if N[s][l][r + 1])
+    ctxs = [FusionContext(n, k), FusionContext(n, k)]
+    for ctx in ctxs:
+        ctx.fusion[s][l][r] += 2
+        ctx.fusion[s][l][r + 1] -= 1
+    expected = per_entry_symmetry_suite(ctxs[1])
+    assert not expected.ok and symmetry_suite(ctxs[0]).failures == expected.failures
+
+
+def test_symmetry_suite_with_a_negative_entry_checks_entry_by_entry(monkeypatch):
+    n, k = 4, 2
+    m = len(enumerate_alcove(n, k))
+    # N[0][0][0] = N_{(1,1),(1,1)}^{(1,1)} is 0: one step down makes it -1
+    assert FusionContext(n, k).fusion[0][0][0] == 0
+    expected = per_entry_symmetry_suite(corrupted(n, k, (0, 0, 0), -1))
+    runs = []
+    run = Report.run
+    monkeypatch.setattr(Report, "run", lambda self, *args: runs.append(1) or run(self, *args))
+    got = symmetry_suite(corrupted(n, k, (0, 0, 0), -1))
+    assert got.failures == expected.failures and got.checks == expected.checks
+    assert len(runs) >= m**4  # every associativity entry ran one check
 
 
 def test_fusion_table_and_suites_evaluate_no_monomial(monkeypatch):

@@ -173,6 +173,20 @@ def test_coproduct_dual_to_product():
         assert lhs == hall_inner(f, multiply(g, h))
 
 
+def test_monomial_coproduct_equals_the_power_sum_route():
+    # Delta(m_lam) = sum m_a (x) m_b over the multiset splits of lam's parts
+    assert coproduct(sym("m", (2, 1, 1)), bases=("m", "m")).dict() == {
+        ((2, 1, 1), ()): 1, ((2, 1), (1,)): 1, ((2,), (1, 1)): 1,
+        ((1, 1), (2,)): 1, ((1,), (2, 1)): 1, ((), (2, 1, 1)): 1,
+    }
+    for deg in range(0, 11):
+        for lam in partitions_of(deg):
+            f = sym("m", lam)
+            assert coproduct(f, bases=("m", "m")) == coproduct(f).to(("m", "m")), lam
+    f = SymFunc.make("m", {(3, 1): Fraction(2, 3), (2, 2): Fraction(-1, 2), (1,): Fraction(5)})
+    assert coproduct(f, bases=("m", "m")) == coproduct(f).to(("m", "m"))
+
+
 def test_coassociativity():
     # (Delta x id) Delta = (id x Delta) Delta on basis elements of degree <= 5
     for basis in BASES:

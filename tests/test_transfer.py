@@ -3,7 +3,14 @@ pointwise counts, and the weight validation shared by every route."""
 
 import pytest
 
-from cylsym.cylindric import _weight_expansion, phi_weight, psi_weight, theta_weight
+from cylsym.cylindric import (
+    _expansions,
+    _weight_expansion,
+    phi_weight,
+    psi_weight,
+    theta_weight,
+    weight_row,
+)
 from cylsym.grassmannian import (
     _chi_expansion,
     _kostka_expansion,
@@ -11,7 +18,7 @@ from cylsym.grassmannian import (
     grass_context,
     quantum_kostka,
 )
-from cylsym.partitions import enumerate_alcove, partitions_of
+from cylsym.partitions import enumerate_alcove, partitions_of, transfer_expansion
 from cylsym.symfunc import (
     adjacent_column_weight,
     psi_weight_flat,
@@ -38,6 +45,30 @@ def test_crpp_expansion_matches_pointwise(n, k):
                 for kind, weight in routes.items():
                     expected = pointwise(deg, lambda nu: weight(lam, d, mu, nu))
                     assert _weight_expansion(lam, d, mu, kind) == expected, (kind, lam, d, mu)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
+def test_row_walk_matches_single_end_expansions(n, k):
+    A = enumerate_alcove(n, k)
+    for kind in ("general", "row-strict", "adjacent-column"):
+        for mu in A:
+            single = {(lam, d): _weight_expansion(lam, d, mu, kind) for lam in A for d in range(3)}
+            for d in range(3):
+                row = weight_row(mu, d, kind)
+                assert list(row) == list(A)
+                assert all(row[lam] == single[(lam, d)] for lam in A), (kind, mu, d)
+            # windings 0 and 1 read from one walk bounded by winding 1
+            both = _expansions(mu, [(lam, e) for lam in A for e in (0, 1)], kind)
+            assert both == {(lam, e): single[(lam, e)] for lam in A for e in (0, 1)}, (kind, mu)
+
+
+def test_ends_of_negative_degree_read_empty():
+    lam, mu = enumerate_alcove(3, 2)[0], enumerate_alcove(3, 2)[-1]
+    got = _expansions(mu, [(lam, 0), (mu, 0), (mu, 1)], "general")
+    assert got[(lam, 0)] == {} and got[(mu, 0)] == {(): 1}
+    assert got[(mu, 1)] == _weight_expansion(mu, 1, mu, "general") != {}
+    # no end of nonnegative degree: no walk, so the successors are never asked for
+    assert transfer_expansion(mu, {(lam, 0): -2}, None) == {(lam, 0): {}}
 
 
 @pytest.mark.parametrize("n,k", GRIDS)
