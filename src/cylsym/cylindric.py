@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .affine import is_valid_shape, loop_value
-from .fusion import fusion_count
+from .fusion import FusionContext, fusion_count
 from .partitions import (
     AlcoveWeight,
     Partition,
@@ -33,6 +33,7 @@ from .partitions import (
     transfer_expansion,
     z_factor,
 )
+from . import symfunc
 from .symfunc import SymFunc, TensorSymFunc, antipode, coproduct, tensor
 
 
@@ -243,12 +244,6 @@ def _weight_expansion(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str) ->
     return _expansions(mu, [(lam, d)], kind)[(lam, d)]
 
 
-def weight_row(mu: AlcoveWeight, d: int, kind: str) -> dict:
-    """{lam: expansion of lam/d/mu} over the alcove, by one walk out of mu."""
-    table = _expansions(mu, [(lam, d) for lam in enumerate_alcove(mu.n, mu.k)], kind)
-    return {lam: expansion for (lam, _), expansion in table.items()}
-
-
 def _monomials(table: dict) -> SymFunc:
     return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
 
@@ -323,11 +318,27 @@ def cyl_in_nonskew(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> dict:
     """Coefficients {(sigma, e): N} with h_{lam/d/mu} = sum N * h_{sigma/e/n^k}."""
     lam.same_context(mu)
     n, k = lam.n, lam.k
+    return _nonskew_terms(lam, d, mu, lambda s, sigma: fusion_count(lam.parts, mu.parts, sigma.parts, n, k))
+
+
+def nonskew_from_array(ctx: FusionContext, lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> dict:
+    """`cyl_in_nonskew(lam, d, mu)` with N_{mu sigma}^lam read from the fusion
+    array of ctx, the context of lam and mu."""
+    ctx._check(lam, mu)
+    plane, i = ctx.fusion[ctx.index[mu.parts]], ctx.index[lam.parts]
+    return _nonskew_terms(lam, d, mu, lambda s, sigma: plane[s][i])
+
+
+def _nonskew_terms(lam: AlcoveWeight, d: int, mu: AlcoveWeight, coefficient) -> dict:
+    """{(sigma, k + d - d'): coefficient(s, sigma)} over the alcove points
+    sigma = A_s with |mu| + |sigma| - |lam| = n d' for 0 <= d' <= d + k,
+    nonzero values only."""
+    n, k = lam.n, lam.k
     out = {}
-    for sigma in enumerate_alcove(n, k):
+    for s, sigma in enumerate(enumerate_alcove(n, k)):
         d_prime, rem = divmod(sigma.size - lam.size + mu.size, n)
         if rem == 0 and 0 <= d_prime <= d + k:
-            c = fusion_count(lam.parts, mu.parts, sigma.parts, n, k)
+            c = coefficient(s, sigma)
             if c:
                 out[(sigma, k + d - d_prime)] = c
     return out
@@ -477,7 +488,7 @@ def enumerate_crpp(
 
 
 # ---------------------------------------------------------------------------
-# coproduct identity
+# coproduct identity and antipode
 
 
 def coproduct_cyl_check(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str = "h") -> bool:
@@ -488,36 +499,83 @@ def coproduct_cyl_check(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str =
         raise ValueError(kind)
     step = "general" if kind == "h" else "row-strict"
     alcove = enumerate_alcove(lam.n, lam.k)
-    ends = {(nu, d2) for d2 in range(d + 1) for nu in alcove} | {(lam, d)}
-    right = _expansions(mu, ends, step)
+    right = _expansions(mu, [(nu, d2) for d2 in range(d + 1) for nu in alcove], step)
+    return coproduct_holds(lam, d, right, lambda d1, nu: _weight_expansion(lam, d1, nu, step))
+
+
+def coproduct_holds(lam: AlcoveWeight, d: int, right: dict, left) -> bool:
+    """Delta(f_{lam/d/mu}) = sum over d1+d2=d, nu of f_{lam/d1/nu} (x) f_{nu/d2/mu},
+    with right the expansions {(nu, d2): f_{nu/d2/mu}} of one walk out of mu
+    for every alcove point nu and d2 <= d, and left(d1, nu) = f_{lam/d1/nu},
+    asked for only where the right factor is nonzero."""
     lhs = coproduct(_monomials(right[(lam, d)]), bases=("m", "m"))
     rhs: dict = {}
     for d1 in range(0, d + 1):
-        for nu in alcove:
+        for nu in enumerate_alcove(lam.n, lam.k):
             factor = right[(nu, d - d1)]
-            left = _weight_expansion(lam, d1, nu, step) if factor else {}
-            if not left:
+            left_factor = left(d1, nu) if factor else {}
+            if not left_factor:
                 continue
-            for key, c in tensor(_monomials(left), _monomials(factor)).coeffs:
+            for key, c in tensor(_monomials(left_factor), _monomials(factor)).coeffs:
                 rhs[key] = rhs.get(key, Fraction(0)) + c
     return lhs == TensorSymFunc.make(("m", "m"), rhs)
-
-
-def _antipode_holds(h: SymFunc, e: SymFunc, deg: int) -> bool:
-    return antipode(h) == e * (-1 if deg % 2 else 1)
 
 
 def antipode_check(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> bool:
     """gamma(h_{lam/d/mu}) = (-1)^(degree) e_{lam/d/mu}."""
     deg = lam.size - mu.size + lam.n * d
-    return _antipode_holds(cyl_h(lam, d, mu), cyl_e(lam, d, mu), deg)
+    return antipode(cyl_h(lam, d, mu)) == cyl_e(lam, d, mu) * (-1 if deg % 2 else 1)
 
 
-def antipode_row(mu: AlcoveWeight, d: int) -> dict:
-    """{lam: antipode_check(lam, d, mu)} over the alcove, from one general and
-    one row-strict walk out of mu."""
-    h, e = weight_row(mu, d, "general"), weight_row(mu, d, "row-strict")
-    return {
-        lam: _antipode_holds(_monomials(h[lam]), _monomials(e[lam]), lam.size - mu.size + mu.n * d)
-        for lam in h
-    }
+class PackedAntipode:
+    """gamma(h) = (-1)^D e for many pairs (h, e) of monomial expansions of
+    degree D, checked one degree at a time as packed integers.
+
+    With S(m_nu) = (-1)^length(nu) sum_rho c_{nu rho} m_rho the identity reads
+    sum_nu (-1)^length(nu) h_nu c_{nu rho} = (-1)^D e_rho for every rho.  Each
+    pair gets a W-bit slot in one integer per nu for h and one per rho for e
+    (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009), W the bit
+    length of max(sum|h| max|c|, max|e|) plus 2 with max|c| over the rows of
+    the nu of h.  Every slot of either side then lies strictly between
+    -2^(W-1) and 2^(W-1), so the sides are equal only when every slot is.
+    Each row of S(m_nu), read through `symfunc._m_antipode_row`, is applied
+    to a whole accumulator in one pass.
+    """
+
+    def __init__(self):
+        self._groups: dict[int, list] = {}  # D -> [keys, packed h, packed e, next free bit]
+        self._rows: dict = {}  # nu -> (row of S(m_nu), max|c| over it)
+
+    def _row(self, nu: Partition) -> tuple:
+        if nu not in self._rows:
+            row = symfunc._m_antipode_row(nu)
+            self._rows[nu] = (row, max((abs(c) for _, c in row), default=0))
+        return self._rows[nu]
+
+    def add(self, key, deg: int, h: dict, e: dict) -> None:
+        """Fold the expansions h and e of degree deg, as {partition: integer},
+        into the accumulators of deg under key; a pair of zeros always holds."""
+        if not (h or e):
+            return
+        group = self._groups.setdefault(deg, [[], {}, {}, 0])
+        keys, packed_h, packed_e, offset = group
+        c = max((self._row(nu)[1] for nu in h), default=0)
+        bound = max(sum(map(abs, h.values())) * c, max(map(abs, e.values()), default=0))
+        group[3] = offset + bound.bit_length() + 2
+        keys.append(key)
+        for nu, v in h.items():
+            packed_h[nu] = packed_h.get(nu, 0) + ((-v if len(nu) % 2 else v) << offset)
+        for rho, v in e.items():
+            packed_e[rho] = packed_e.get(rho, 0) + ((-v if deg % 2 else v) << offset)
+
+    def failing(self) -> set:
+        """The keys of every degree whose packed sides differ."""
+        out = set()
+        for keys, packed_h, packed_e, _ in self._groups.values():
+            lhs: dict = {}
+            for nu, x in packed_h.items():
+                for rho, c in self._row(nu)[0]:
+                    lhs[rho] = lhs.get(rho, 0) + c * x
+            if any(lhs.get(rho, 0) != packed_e.get(rho, 0) for rho in lhs.keys() | packed_e.keys()):
+                out.update(keys)
+        return out

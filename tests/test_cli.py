@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import cylsym
-from cylsym import symfunc
+from cylsym import cli, cylindric, fusion, symfunc
 from cylsym.cli import build_parser, main
+from cylsym.cylindric import antipode_check
+from cylsym.partitions import enumerate_alcove
 
 
 def run(capsys, *argv):
@@ -147,6 +149,68 @@ def test_verify_coalgebra_detects_a_wrong_antipode_row(capsys, monkeypatch):
         "coalgebra (n=3, k=2): 90 checks, FAILED (8)\n"
         "  first counterexample: antipode at (1, 1)/1/(1, 1)\n"
     )
+
+
+def test_route_equivalence_third_route_reads_the_array(capsys, monkeypatch):
+    # an off-by-one per-triple count shows against the array's count by partners
+    count = fusion.fusion_count
+
+    def off_by_one(lam, mu, nu, n, k):
+        return count(lam, mu, nu, n, k) + ((lam, mu, nu) == ((3, 3), (2, 1), (2, 1)))
+
+    monkeypatch.setattr(fusion, "fusion_count", off_by_one)
+    code, out, _ = run(capsys, "verify", "route-equivalence", "--n", "3", "--k", "2")
+    assert code == 1
+    assert out == (
+        "fusion route equivalence (n=3, k=2): 225 checks, FAILED (1)\n"
+        "  first counterexample: routes at (2, 1),(2, 1),(3, 3): 3,2,2\n"
+    )
+
+
+def per_pair_antipode_failures(n, k):
+    """The coalgebra suite's antipode witnesses from one check per pair."""
+    A = enumerate_alcove(n, k)
+    return [f"antipode at {lam.parts}/1/{mu.parts}"
+            for lam in A for mu in A if not antipode_check(lam, 1, mu)]
+
+
+def test_coalgebra_packing_tells_a_carry_shaped_corruption(monkeypatch):
+    # +2 in one slot and -1 in the next slot of one degree leave the packed e
+    # unchanged when slots are 1 bit wide; the chosen widths must not
+    n, k = 3, 2
+    A = enumerate_alcove(n, k)
+    mu, lam1, lam2, rho = A[0], A[2], A[3], (5,)
+    assert lam1.size == lam2.size and lam1.size - mu.size + n == sum(rho)
+    walk = cylindric._expansions
+
+    def corrupted(start, ends, kind):
+        out = walk(start, ends, kind)
+        if start == mu and kind == "row-strict":
+            for lam, delta in ((lam1, 2), (lam2, -1)):
+                if (lam, 1) in out:
+                    e = out[(lam, 1)] = dict(out[(lam, 1)])
+                    e[rho] = e.get(rho, 0) + delta
+        return out
+
+    monkeypatch.setattr(cylindric, "_expansions", corrupted)
+    monkeypatch.setattr(cli, "_expansions", corrupted)
+    expected = per_pair_antipode_failures(n, k)
+    assert expected == [f"antipode at {lam1.parts}/1/{mu.parts}", f"antipode at {lam2.parts}/1/{mu.parts}"]
+    rep = cli._suite_coalgebra(n, k)
+    assert rep.failures == expected and rep.checks == 90
+
+
+def test_coalgebra_packing_bounds_a_large_negative_antipode_coefficient(monkeypatch):
+    row = symfunc._m_antipode_row
+
+    def spiked(nu):
+        # S(m_21) = m_21 + 2 m_3; the spiked row gives m_21 - 2^40 m_3
+        return tuple((rho, -(2**40) if nu == (2, 1) and rho == (3,) else c) for rho, c in row(nu))
+
+    monkeypatch.setattr(symfunc, "_m_antipode_row", spiked)
+    expected = per_pair_antipode_failures(3, 2)
+    rep = cli._suite_coalgebra(3, 2)
+    assert expected and rep.failures == expected and rep.checks == 90
 
 
 def test_verify_single_suite(capsys):

@@ -30,6 +30,7 @@ from cylsym.fusion import (
     t_unitarity_check,
 )
 from cylsym.cli import _table_text
+from cylsym.cylindric import cyl_in_nonskew, nonskew_from_array
 from cylsym.grassmannian import grass_context, gw_table
 from cylsym.partitions import (
     AlcoveWeight,
@@ -83,6 +84,37 @@ def test_triple_route_equality_sampled(n, k):
         assert count == n_verlinde(ctx, lam, mu, nu) == n_reduce(ctx, nu, lam, mu), (lam, mu, nu)
         values.append(count)
     assert any(values)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3)])
+def test_fusion_array_equals_the_per_triple_count(n, k):
+    ctx = FusionContext(n, k)
+    A = ctx.alcove
+    assert ctx.fusion == [
+        [[fusion_count(nu.parts, lam.parts, mu.parts, n, k) for nu in A] for mu in A] for lam in A
+    ]
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (5, 4), (4, 5)])
+def test_fusion_array_equals_the_per_triple_count_sampled(n, k):
+    # 2,000 seeded triples one size up from the full grids above
+    ctx = FusionContext(n, k)
+    A, N = ctx.alcove, ctx.fusion
+    rng = random.Random(f"fusion array {n},{k}")
+    values = []
+    for _ in range(2000):
+        i, j, l = (rng.randrange(len(A)) for _ in range(3))
+        values.append(N[i][j][l])
+        assert N[i][j][l] == fusion_count(A[l].parts, A[i].parts, A[j].parts, n, k), (i, j, l)
+    assert any(values)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 3)])
+def test_nonskew_rows_from_the_array_equal_the_per_pair_count(n, k):
+    ctx = FusionContext(n, k)
+    for lam in ctx.alcove:
+        for mu in ctx.alcove:
+            assert nonskew_from_array(ctx, lam, 1, mu) == cyl_in_nonskew(lam, 1, mu), (lam, mu)
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])

@@ -9,7 +9,6 @@ from cylsym.cylindric import (
     phi_weight,
     psi_weight,
     theta_weight,
-    weight_row,
 )
 from cylsym.grassmannian import (
     _chi_expansion,
@@ -54,9 +53,9 @@ def test_row_walk_matches_single_end_expansions(n, k):
         for mu in A:
             single = {(lam, d): _weight_expansion(lam, d, mu, kind) for lam in A for d in range(3)}
             for d in range(3):
-                row = weight_row(mu, d, kind)
-                assert list(row) == list(A)
-                assert all(row[lam] == single[(lam, d)] for lam in A), (kind, mu, d)
+                row = _expansions(mu, [(lam, d) for lam in A], kind)
+                assert list(row) == [(lam, d) for lam in A]
+                assert all(row[(lam, d)] == single[(lam, d)] for lam in A), (kind, mu, d)
             # windings 0 and 1 read from one walk bounded by winding 1
             both = _expansions(mu, [(lam, e) for lam in A for e in (0, 1)], kind)
             assert both == {(lam, e): single[(lam, e)] for lam in A for e in (0, 1)}, (kind, mu)
