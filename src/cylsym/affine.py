@@ -10,7 +10,7 @@ shapes are the regions between two loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .partitions import (
     AlcoveWeight,
@@ -233,13 +233,29 @@ def shifted_act(bar: BoxedPartition, w: ExtAffinePerm) -> Weight:
     return tuple(m - r for m, r in zip(moved, rho))
 
 
-def shifted_reduce(values: Weight, n: int, k: int) -> BoxedPartition | None:
-    """Boxed representative of the shifted orbit; None for degenerate weights.
+@lru_cache(maxsize=None)
+def _bead_reduce(residues: Weight, n: int) -> tuple[BoxedPartition, int]:
+    """(nu, parity of the sort) for distinct residues in [1, n]: at most
+    n!/(n-k)! of them per (n, k)."""
+    lam, _ = reduce_to_alcove(residues, n, len(residues))
+    inversions = sum(a < b for i, a in enumerate(residues) for b in residues[i + 1 :])
+    return boxed_from_strict(lam), inversions % 2
 
-    Degenerate means two entries of values + rho share a residue mod n, in
-    which case the orbit misses the fundamental box.
+
+def shifted_reduce(values: Weight, n: int, k: int) -> tuple[BoxedPartition, int, int] | None:
+    """The level-n reduction of the alternating side: (nu, d, sign), or None.
+
+    Each entry of values + rho is reduced mod n into [1, n]; on a repeated
+    residue the orbit misses the fundamental box and the term dies.  Otherwise
+    nu is the sorted residues minus rho, |values| = |nu| + n*d, and the sign is
+    the parity of the sort times (-1)^((k-1)d): the bead form of the rim-hook
+    rule of Bertram, Ciocan-Fontanine and Fulton.
     """
     if len(values) != k:
         raise ValueError("rank mismatch")
-    strict, _ = reduce_to_alcove(tuple(v + r for v, r in zip(values, staircase(k))), n, k)
-    return boxed_from_strict(strict) if strict.is_strict() else None
+    residues = tuple((v + k - i - 1) % n + 1 for i, v in enumerate(values))
+    if len(set(residues)) < k:
+        return None
+    nu, parity = _bead_reduce(residues, n)
+    d = (sum(values) - nu.size) // n
+    return nu, d, -1 if (parity + (k - 1) * d) % 2 else 1

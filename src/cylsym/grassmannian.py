@@ -3,7 +3,9 @@ cylindric Schur functions, quantum Kostka numbers and the ribbon calculus.
 
 Everything lives on the shifted cylinder: boxed partitions index Schubert
 classes, adding the staircase moves them to strict weights where the
-root-of-unity alternant formulas and the beta-number ribbon moves apply.
+root-of-unity alternant formulas apply.  One signed level-n reduction of those
+weights, `affine.shifted_reduce`, serves the GW products, every ribbon layer
+and, on the conjugate side Gr(n-k, n), the Schur expansions and `core_fiber`.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .cyclotomic import CycloNum, eval_alternant
-from .cylindric import _psi_cyl
+from .affine import shifted_reduce
+from .cylindric import _compositions, _psi_cyl
 from .fusion import CoeffTable, Report
 from .partitions import (
     AlcoveWeight,
     BoxedPartition,
     Partition,
     _scan_successors,
-    beta_numbers,
     boxed_from_strict,
     conjugate,
     distinct_permutations,
@@ -27,9 +29,7 @@ from .partitions import (
     enumerate_strict,
     lawful_rows,
     length,
-    n_core,
     normalize,
-    partition_from_betas,
     partitions_of,
     size,
     staircase,
@@ -37,7 +37,7 @@ from .partitions import (
     transfer_expansion,
     z_factor,
 )
-from .symfunc import SymFunc, hall_inner, multiply, schur_straighten, sym
+from .symfunc import SymFunc, hall_inner, multiply, sym
 
 
 class GrassContext:
@@ -82,6 +82,10 @@ def _as_boxed(ctx: GrassContext, bar) -> BoxedPartition:
         ctx.boxed[0].same_context(bar)
         return bar
     return BoxedPartition(normalize(bar), ctx.n, ctx.k)
+
+
+def _pad(nu: Partition, slots: int) -> tuple[int, ...]:
+    return nu + (0,) * (slots - len(nu))
 
 
 # ---------------------------------------------------------------------------
@@ -130,32 +134,25 @@ def _k_weights(ctx: GrassContext, mu: BoxedPartition) -> tuple:
     out = []
     for nu, c in _kostka_expansion(ctx, mu, 0, empty, row_strict=False).items():
         if len(nu) <= ctx.k:
-            padded = nu + (0,) * (ctx.k - len(nu))
-            out.extend((alpha, c) for alpha in distinct_permutations(padded))
+            out.extend((alpha, c) for alpha in distinct_permutations(_pad(nu, ctx.k)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _reduced_product(ctx: GrassContext, lam: BoxedPartition, mu: BoxedPartition) -> dict:
-    """{(nu, d): C_{lam mu}^{nu, d}} for s_lam * s_mu in k variables, each term
-    straightened (Brauer-Klimyk) and reduced by signed n-rim-hook removal."""
+    """{(nu, d): C_{lam mu}^{nu, d}} for s_lam * s_mu in k variables: each
+    weight lam + alpha (Brauer-Klimyk) is reduced at level n by `shifted_reduce`."""
     if (lam.size, lam.parts) < (mu.size, mu.parts):
         return _reduced_product(ctx, mu, lam)  # it commutes: expand the smaller factor
     n, k = ctx.n, ctx.k
     base = lam.padded()
     out: dict = {}
     for alpha, c in _k_weights(ctx, mu):
-        term = schur_straighten(tuple(a + b for a, b in zip(base, alpha)))
-        if term is None:
-            continue
-        sign, sigma = term
-        core, weight, parity = n_core(sigma, n)
-        if core and core[0] > n - k:
-            continue
-        if (k * weight - parity) % 2:
-            sign = -sign
-        key = (core, weight)
-        out[key] = out.get(key, 0) + sign * c
+        term = shifted_reduce(tuple(a + b for a, b in zip(base, alpha)), n, k)
+        if term is not None:
+            nu, d, sign = term
+            key = (nu.parts, d)
+            out[key] = out.get(key, 0) + sign * c
     return out
 
 
@@ -289,27 +286,20 @@ def _kostka_expansion(ctx: GrassContext, lam: BoxedPartition, d: int, mu: BoxedP
 
 
 # ---------------------------------------------------------------------------
-# cylindric ribbons (beta-number moves on strict weights)
+# cylindric ribbons (one part grown, then reduced at level n)
 
 
 @lru_cache(maxsize=None)
 def _ribbon_successors(mu: BoxedPartition, r: int) -> tuple:
-    """(lam, winding, sign) for every way to grow one strict entry by r."""
-    n, k = mu.n, mu.k
-    s = mu.to_strict().parts
+    """(lam, winding, sign) for every way to grow one part of mu by r: the
+    level-n reduction of the grown weight, whose sign carries the layer's
+    (-1)^((k-1) winding)."""
+    base = mu.padded()
     out = []
-    for l in range(k):
-        v = s[l] + r
-        red = (v - 1) % n + 1
-        winding = (v - red) // n
-        others = s[:l] + s[l + 1 :]
-        if red in others:
-            continue
-        merged = sorted(others + (red,), reverse=True)
-        pos = merged.index(red)
-        sign = -1 if (pos - l) % 2 else 1
-        lam = boxed_from_strict(AlcoveWeight(tuple(merged), n, k))
-        out.append((lam, winding, sign))
+    for l in range(mu.k):
+        term = shifted_reduce(base[:l] + (base[l] + r,) + base[l + 1 :], mu.n, mu.k)
+        if term is not None:
+            out.append(term)
     return tuple(out)
 
 
@@ -347,19 +337,17 @@ def ribbon_data(ctx: GrassContext, lam, d: int, mu) -> tuple[int, int] | None:
 
 
 def chi_weight(ctx: GrassContext, lam, d: int, mu, nu) -> int:
-    """Signed count of cylindric ribbon plane partitions of shape lam/d/mu, weight nu."""
+    """Signed count of cylindric ribbon plane partitions of shape lam/d/mu,
+    weight nu; each layer carries its own sign, (-1)^((k-1)d) over the chain."""
     lam, mu = _as_boxed(ctx, lam), _as_boxed(ctx, mu)
-    raw = transfer(mu, lam, d, nu, _ribbon_successors)
-    return -raw if (d * (ctx.k - 1)) % 2 else raw
+    return transfer(mu, lam, d, nu, _ribbon_successors)
 
 
 def _chi_expansion(ctx: GrassContext, lam: BoxedPartition, d: int, mu: BoxedPartition) -> dict:
-    """{partition: signed ribbon count} over all weights of the right size."""
+    """{partition: signed ribbon count} over all weights of the right size,
+    with the signs of `chi_weight`."""
     deg = lam.size - mu.size + ctx.n * d
-    table = transfer_expansion(mu, {(lam, d): deg}, _ribbon_successors)[(lam, d)]
-    if (d * (ctx.k - 1)) % 2:
-        return {nu: -c for nu, c in table.items()}
-    return table
+    return transfer_expansion(mu, {(lam, d): deg}, _ribbon_successors)[(lam, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,83 +381,47 @@ def cyl_schur_p(ctx: GrassContext, lam, d: int, mu) -> SymFunc:
 
 
 def cyl_schur_to_schur(ctx: GrassContext, lam, d: int, mu) -> SymFunc:
-    """Schur expansion with signed core-reduced GW coefficients."""
+    """Schur expansion with signed GW coefficients: each nu is reduced at level
+    n in Gr(n-k, n), its conjugate side."""
     lam, mu = _as_boxed(ctx, lam), _as_boxed(ctx, mu)
     n, k = ctx.n, ctx.k
     other = ctx.conjugate_context()
-    lam_c = conjugate(lam.parts)
-    mu_c = conjugate(mu.parts)
+    lam_c, mu_c = lam.conjugate_boxed(), mu.conjugate_boxed()
     deg = lam.size - mu.size + n * d
     if d < 0 or deg < 0:
         return SymFunc.make("s", {})
     out = {}
     for nu in partitions_of(deg, max_len=n - k):
-        core, weight, parity = n_core(nu, n)
-        if weight > d:
+        term = shifted_reduce(_pad(nu, n - k), n, n - k)
+        if term is None or term[1] > d:
             continue
-        if core and core[0] > k:
-            continue
+        core, weight, sign = term
         c = gw_bvi(other, mu_c, core, lam_c, d - weight)
-        if not c:
-            continue
-        sign = -1 if ((n - k) * weight - parity) % 2 else 1
-        out[conjugate(nu)] = Fraction(sign * c)
+        if c:
+            out[conjugate(nu)] = Fraction(sign * c)
     return SymFunc.make("s", out)
 
 
 def nonskew_cyl_schur(ctx: GrassContext, lam, d: int) -> SymFunc:
     """Signed multiplicity-free Schur expansion of s_{lam/d/empty}."""
-    lam = _as_boxed(ctx, lam)
-    n, k = ctx.n, ctx.k
+    kc = ctx.n - ctx.k
     out = {}
     for nu in core_fiber(ctx, lam, d):
-        _, _, parity = n_core(nu, n)
-        sign = -1 if ((n - k) * d - parity) % 2 else 1
-        out[conjugate(nu)] = Fraction(sign)
+        out[conjugate(nu)] = Fraction(shifted_reduce(_pad(nu, kc), ctx.n, kc)[2])
     return SymFunc.make("s", out)
 
 
 def core_fiber(ctx: GrassContext, lam, d: int) -> list[Partition]:
-    """Partitions with at most n-k rows, n-core lam' and n-weight d, by runner quotients."""
-    lam = _as_boxed(ctx, lam)
-    n = ctx.n
-    core = conjugate(lam.parts)
+    """Partitions nu with at most n-k rows that `shifted_reduce` in Gr(n-k, n)
+    takes to (lam', d): the strict weight of lam' lifted by d turns of n, one
+    lift per composition of d, sorted, minus rho.  Empty when d < 0."""
+    strict = _as_boxed(ctx, lam).conjugate_boxed().to_strict().parts
+    rho = staircase(len(strict))
     out = []
-    for nu in _core_quotient_fiber(core, n, d):
-        if length(nu) <= n - ctx.k:
-            out.append(nu)
+    for turns in _compositions(d, len(strict)):
+        lifted = sorted((s + ctx.n * t for s, t in zip(strict, turns)), reverse=True)
+        out.append(normalize(tuple(v - r for v, r in zip(lifted, rho))))
     return sorted(out)
-
-
-def _core_quotient_fiber(core: Partition, n: int, weight: int) -> list[Partition]:
-    """All partitions with the given n-core and n-weight, via the quotient bijection."""
-    slots = len(core) + n * weight + n
-    base = beta_numbers(core, slots)
-    runners: dict[int, list[int]] = {r: [] for r in range(n)}
-    for b in base:
-        runners[b % n].append(b)
-    for r in runners:
-        runners[r].sort(reverse=True)
-    out = []
-
-    def rec(r: int, remaining: int, acc: list[int]):
-        if r == n:
-            if remaining == 0:
-                out.append(partition_from_betas(acc))
-            return
-        beads = runners[r]
-        for q in partitions_of_bounded_len(remaining, len(beads)):
-            moved = [b + n * (q[i] if i < len(q) else 0) for i, b in enumerate(beads)]
-            rec(r + 1, remaining - sum(q), acc + moved)
-
-    rec(0, weight, [])
-    return out
-
-
-def partitions_of_bounded_len(total_max: int, max_len: int):
-    """All partitions of size at most total_max into at most max_len parts."""
-    for s in range(total_max + 1):
-        yield from partitions_of(s, max_len=max_len)
 
 
 def mcnamara_expand(ctx: GrassContext, lam, d: int, mu) -> dict:

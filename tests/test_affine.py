@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,9 +23,12 @@ from cylsym.partitions import (
     BoxedPartition,
     enumerate_alcove,
     enumerate_boxed,
+    n_core,
+    partitions_of,
     reduce_to_alcove,
     staircase,
 )
+from cylsym.symfunc import schur_straighten
 
 
 def random_perm(rng, k, steps=6):
@@ -178,13 +182,54 @@ def test_shifted_fundamental_domain_window():
             if degenerate:
                 assert rep is None
                 continue
-            assert rep in boxed
+            nu, d, sign = rep
+            assert nu in boxed
+            assert sum(w) == nu.size + n * d
+            assert sign in (1, -1)
             # reduction is constant along orbits: applying any generator first
             # does not change the representative
             for g in generators(k):
-                moved = shifted_act(BoxedPartition(rep.parts, n, k), g)
-                again = shifted_reduce(moved, n, k)
-                assert again == rep
+                moved = shifted_act(BoxedPartition(nu.parts, n, k), g)
+                assert shifted_reduce(moved, n, k)[0] == nu
     # each boxed partition is its own representative
     for b in boxed:
-        assert shifted_reduce(b.padded(), n, k) == b
+        assert shifted_reduce(b.padded(), n, k) == (b, 0, 1)
+
+
+def _straighten_then_core(values, n, k):
+    """The two-step reduction: straighten, strip n-rim hooks, keep cores in the box."""
+    term = schur_straighten(values)
+    if term is None:
+        return None
+    sign, sigma_ = term
+    core, weight, parity = n_core(sigma_, n)
+    if core and core[0] > n - k:
+        return None
+    if (k * weight - parity) % 2:
+        sign = -sign
+    return core, weight, sign
+
+
+def _bead_reduction(values, n, k):
+    term = shifted_reduce(values, n, k)
+    return None if term is None else (term[0].parts, term[1], term[2])
+
+
+def test_shifted_reduce_equals_straighten_then_core():
+    for n in range(2, 8):
+        for k in range(1, min(3, n - 1) + 1):
+            for values in itertools.product(range(2 * n + 1), repeat=k):
+                assert _bead_reduction(values, n, k) == _straighten_then_core(
+                    values, n, k
+                ), (values, n, k)
+    count = 0
+    for n in range(2, 9):
+        for k in range(1, n):
+            for m in range(13):
+                for lam in partitions_of(m, max_len=k):
+                    values = lam + (0,) * (k - len(lam))
+                    assert _bead_reduction(values, n, k) == _straighten_then_core(
+                        values, n, k
+                    ), (lam, n, k)
+                    count += 1
+    assert count == 2806

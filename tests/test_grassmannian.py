@@ -365,6 +365,16 @@ def test_core_fiber_vs_brute_scan():
             assert sorted(fiber) == sorted(brute)
 
 
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+def test_core_fiber_is_empty_at_negative_degree(n, k):
+    ctx = grass_context(n, k)
+    for lam in ctx.boxed:
+        for d in (-1, -2, -5):
+            assert core_fiber(ctx, lam, d) == []
+            assert nonskew_cyl_schur(ctx, lam, d).is_zero()
+            assert cyl_schur_to_schur(ctx, lam, d, lam).is_zero()
+
+
 def test_nonskew_orthogonality():
     ctx = grass_context(4, 2)
     rep = nonskew_orthogonality(ctx, 2)
