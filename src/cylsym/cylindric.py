@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .affine import is_valid_shape, loop_value
-from .fusion import FusionContext, fusion_count
+from .fusion import FusionContext, _slots, fusion_count
 from .partitions import (
     AlcoveWeight,
     Partition,
@@ -533,17 +533,18 @@ class PackedAntipode:
 
     With S(m_nu) = (-1)^length(nu) sum_rho c_{nu rho} m_rho the identity reads
     sum_nu (-1)^length(nu) h_nu c_{nu rho} = (-1)^D e_rho for every rho.  Each
-    pair gets a W-bit slot in one integer per nu for h and one per rho for e
-    (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009), W the bit
-    length of max(sum|h| max|c|, max|e|) plus 2 with max|c| over the rows of
-    the nu of h.  Every slot of either side then lies strictly between
-    -2^(W-1) and 2^(W-1), so the sides are equal only when every slot is.
-    Each row of S(m_nu), read through `symfunc._m_antipode_row`, is applied
-    to a whole accumulator in one pass.
+    pair gets a signed W-bit slot in one integer per nu for h and one per rho
+    for e (Kronecker substitution), W the bit length of
+    max(sum|h| max|c|, max|e|) plus 2 with max|c| over the rows of the nu of
+    h.  Every slot of either side then lies strictly between -2^(W-2) and
+    2^(W-2), so a slot of their difference fits in W signed bits: the sides
+    are equal only when every slot is, and `_slots` reads the failing pairs
+    back from the difference.  Each row of S(m_nu), read through
+    `symfunc._m_antipode_row`, is applied to a whole accumulator in one pass.
     """
 
     def __init__(self):
-        self._groups: dict[int, list] = {}  # D -> [keys, packed h, packed e, next free bit]
+        self._groups: dict[int, list] = {}  # D -> [keys, packed h, packed e, slot widths]
         self._rows: dict = {}  # nu -> (row of S(m_nu), max|c| over it)
 
     def _row(self, nu: Partition) -> tuple:
@@ -557,11 +558,11 @@ class PackedAntipode:
         into the accumulators of deg under key; a pair of zeros always holds."""
         if not (h or e):
             return
-        group = self._groups.setdefault(deg, [[], {}, {}, 0])
-        keys, packed_h, packed_e, offset = group
+        keys, packed_h, packed_e, widths = self._groups.setdefault(deg, [[], {}, {}, []])
+        offset = sum(widths)
         c = max((self._row(nu)[1] for nu in h), default=0)
         bound = max(sum(map(abs, h.values())) * c, max(map(abs, e.values()), default=0))
-        group[3] = offset + bound.bit_length() + 2
+        widths.append(bound.bit_length() + 2)
         keys.append(key)
         for nu, v in h.items():
             packed_h[nu] = packed_h.get(nu, 0) + ((-v if len(nu) % 2 else v) << offset)
@@ -569,13 +570,16 @@ class PackedAntipode:
             packed_e[rho] = packed_e.get(rho, 0) + ((-v if deg % 2 else v) << offset)
 
     def failing(self) -> set:
-        """The keys of every degree whose packed sides differ."""
+        """The keys whose pair breaks the identity, read from the slots of
+        every nonzero difference of the packed sides."""
         out = set()
-        for keys, packed_h, packed_e, _ in self._groups.values():
+        for keys, packed_h, packed_e, widths in self._groups.values():
             lhs: dict = {}
             for nu, x in packed_h.items():
                 for rho, c in self._row(nu)[0]:
                     lhs[rho] = lhs.get(rho, 0) + c * x
-            if any(lhs.get(rho, 0) != packed_e.get(rho, 0) for rho in lhs.keys() | packed_e.keys()):
-                out.update(keys)
+            for rho in lhs.keys() | packed_e.keys():
+                diff = lhs.get(rho, 0) - packed_e.get(rho, 0)
+                if diff:
+                    out.update(key for key, v in zip(keys, _slots(diff, widths)) if v)
         return out

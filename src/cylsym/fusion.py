@@ -49,12 +49,40 @@ class Report:
         if not condition:
             self.failures.append(witness.format(*args))
 
+    def run_rows(self, rows: list, labels) -> None:
+        """One check per entry of every row, rows a list of (left, right,
+        witness) of one length.  Equal rows are counted at once; otherwise
+        every row runs at each index x in turn, recording
+        witness.format(*labels(x)) on failure, so the witnesses come out in
+        the order of a per-entry loop."""
+        if all(left == right for left, right, _ in rows):
+            self.checks += len(rows) * len(rows[0][0])
+            return
+        for x in range(len(rows[0][0])):
+            args = labels(x)
+            for left, right, witness in rows:
+                self.run(left[x] == right[x], witness, *args)
+
     def summary(self) -> str:
         status = "ok" if self.ok else f"FAILED ({len(self.failures)})"
         head = f"{self.name}: {self.checks} checks, {status}"
         if self.failures:
             head += "\n  first counterexample: " + self.failures[0]
         return head
+
+
+def _slots(x: int, widths) -> list[int]:
+    """The signed slots v_r of x = sum_r v_r 2^(w_0 + ... + w_(r-1)), where
+    |v_r| < 2^(w_r - 1) for the widths w_r: the decoder of every packed
+    integer (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009)."""
+    out = []
+    for w in widths:
+        v = x & ((1 << w) - 1)
+        if v >> (w - 1):
+            v -= 1 << w
+        out.append(v)
+        x = (x - v) >> w
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +317,12 @@ def symmetry_suite(ctx: FusionContext) -> Report:
     """Unit, commutativity, star/rotation covariance, associativity and the
     quantum-dimension sum rule, checked exhaustively over the alcove.
 
-    Whole rows are compared at once, and a row that fails is checked again
-    entry by entry, so the witnesses come out in the order of the per-entry
-    loops.  Associativity packs each row N[s][l] into one integer with W-bit
-    slots (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009): a
-    slot of either side is at most |A| max(N)^2 < 2^W when no entry is
-    negative, so one integer comparison settles |A| checks.  An array with a
-    negative entry is checked entry by entry throughout.
+    Each identity is written once, over whole rows through `Report.run_rows`,
+    so the witnesses of a failing row come out in the order of the per-entry
+    loops.  Associativity packs each row N[s][l] into one integer with signed
+    W-bit slots (Kronecker substitution): a slot of either side is at most
+    |A| max|N|^2 < 2^(W-1) in absolute value, so one integer comparison
+    settles |A| checks, and sides that differ are read back by `_slots`.
     """
     rep = Report(f"fusion symmetries (n={ctx.n}, k={ctx.k})")
     A = ctx.alcove
@@ -306,77 +333,53 @@ def symmetry_suite(ctx: FusionContext) -> Report:
     star = [ctx.index[a.star().parts] for a in A]
     rot1, rot2, rot3 = ([ctx.index[a.rot(r).parts] for a in A] for r in (1, 2, 3))
     qd = [a.quantum_dim() for a in A]
-
-    def pair_entries(i, j):
-        lam, mu = A[i], A[j]
-        rep.run(
-            N[i][u][j] == (1 if i == j else 0),
-            "unit: N_({},{})^{}", lam.parts, unit.parts, mu.parts,
-        )
-        expect = qd[i] if star[i] == j else 0
-        rep.run(N[i][j][u] == expect, "eta: N_({},{})^{}", lam.parts, mu.parts, unit.parts)
-        for l, nu in enumerate(A):
-            v = N[i][j][l]
-            rep.run(v == N[j][i][l], "commutativity at {},{},{}", lam.parts, mu.parts, nu.parts)
+    for i, lam in enumerate(A):
+        si = star[i]
+        for j, mu in enumerate(A):
+            row = N[i][j]
             rep.run(
-                v == N[star[i]][star[j]][star[l]],
-                "star covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
+                N[i][u][j] == (1 if i == j else 0),
+                "unit: N_({},{})^{}", lam.parts, unit.parts, mu.parts,
             )
-            rep.run(
-                v * qd[l] == qd[i] * N[j][star[l]][star[i]],
-                "dual symmetry at {},{},{}", lam.parts, mu.parts, nu.parts,
+            expect = qd[i] if si == j else 0
+            rep.run(row[u] == expect, "eta: N_({},{})^{}", lam.parts, mu.parts, unit.parts)
+            starred = [N[si][star[j]][x] for x in star]
+            scaled = [v * q for v, q in zip(row, qd)]
+            dual = [qd[i] * N[j][x][si] for x in star]
+            rotated = [N[rot1[i]][rot2[j]][x] for x in rot3]
+            rep.run_rows(
+                [
+                    (row, N[j][i], "commutativity at {},{},{}"),
+                    (row, starred, "star covariance at {},{},{}"),
+                    (scaled, dual, "dual symmetry at {},{},{}"),
+                    (row, rotated, "rotation covariance at {},{},{}"),
+                ],
+                lambda l: (lam.parts, mu.parts, A[l].parts),
             )
-            rep.run(
-                v == N[rot1[i]][rot2[j]][rot3[l]],
-                "rotation covariance at {},{},{}", lam.parts, mu.parts, nu.parts,
-            )
-
-    for i in range(m):
-        for j in range(m):
-            row, si = N[i][j], star[i]
-            if (
-                N[i][u][j] == (1 if i == j else 0)
-                and row[u] == (qd[i] if si == j else 0)
-                and row == N[j][i]
-                and row == [N[si][star[j]][x] for x in star]
-                and [v * q for v, q in zip(row, qd)] == [qd[i] * N[j][x][si] for x in star]
-                and row == [N[rot1[i]][rot2[j]][x] for x in rot3]
-            ):
-                rep.checks += 2 + 4 * m
-            else:
-                pair_entries(i, j)
 
     # the quantum dimension sum rule, and associativity as the fusion-matrix
     # identity sum_s N_{lam mu}^s N_s = N_mu N_lam with (N_x)[a][b] = N_{xa}^b
-    def associativity_entries(i, j, l, lam_mu, mu_nu):
-        for r, rho in enumerate(A):
-            left = sum(c * N[s][l][r] for s, c in lam_mu)
-            right = sum(c * N[i][s][r] for s, c in mu_nu)
-            rep.run(
-                left == right,
-                "associativity at {},{},{},{}", A[i].parts, A[j].parts, A[l].parts, rho.parts,
-            )
-
-    entries = [v for plane in N for row in plane for v in row]
-    packed = None
-    if min(entries) >= 0:
-        width = (m * max(entries) ** 2).bit_length()
-        packed = [[sum(v << (width * r) for r, v in enumerate(row)) for row in plane] for plane in N]
+    width = (m * max(abs(v) for plane in N for row in plane for v in row) ** 2).bit_length() + 1
+    widths = [width] * m
+    packed = [[sum(v << (width * r) for r, v in enumerate(row)) for row in plane] for plane in N]
+    nonzero = [[[(s, c) for s, c in enumerate(row) if c] for row in plane] for plane in N]
     for i, lam in enumerate(A):
         for j, mu in enumerate(A):
             rep.run(
                 qd[i] * qd[j] == sum(c * q for c, q in zip(N[i][j], qd)),
                 "dimension rule at {},{}", lam.parts, mu.parts,
             )
-            lam_mu = [(s, c) for s, c in enumerate(N[i][j]) if c]
-            for l in range(m):
-                mu_nu = [(s, c) for s, c in enumerate(N[j][l]) if c]
-                if packed is not None and sum(c * packed[s][l] for s, c in lam_mu) == sum(
-                    c * packed[i][s] for s, c in mu_nu
-                ):
+            for l, nu in enumerate(A):
+                left = sum(c * packed[s][l] for s, c in nonzero[i][j])
+                right = sum(c * packed[i][s] for s, c in nonzero[j][l])
+                if left == right:
                     rep.checks += m
                 else:
-                    associativity_entries(i, j, l, lam_mu, mu_nu)
+                    witness = "associativity at {},{},{},{}"
+                    rep.run_rows(
+                        [(_slots(left, widths), _slots(right, widths), witness)],
+                        lambda r: (lam.parts, mu.parts, nu.parts, A[r].parts),
+                    )
     return rep
 
 
@@ -502,14 +505,10 @@ def frobenius_suite(ctx: FusionContext) -> Report:
     unit = ctx.unit()
     # eta(v_lam, v_mu) proportional to N^{n^k}: a monomial pairing delta_{lam*, mu} d_lam
     for lam in A:
-        nonzero = []
-        for mu in A:
-            v = fusion_count(unit.parts, lam.parts, mu.parts, n, k)
-            expect = lam.quantum_dim() if lam.star() == mu else 0
-            rep.run(v == expect, "eta entry at {},{}", lam.parts, mu.parts)
-            if v:
-                nonzero.append(mu)
-        rep.run(len(nonzero) == 1, "eta row at {} is monomial", lam.parts)
+        row = [fusion_count(unit.parts, lam.parts, mu.parts, n, k) for mu in A]
+        expect = [lam.quantum_dim() if lam.star() == mu else 0 for mu in A]
+        rep.run_rows([(row, expect, "eta entry at {},{}")], lambda x: (lam.parts, A[x].parts))
+        rep.run(sum(map(bool, row)) == 1, "eta row at {} is monomial", lam.parts)
     # the ideal generators p_{n+r} - p_r vanish at every alcove evaluation point
     for sigma in A:
         for r in range(0, k):

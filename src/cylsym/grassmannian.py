@@ -211,16 +211,16 @@ def gw_symmetry_suite(ctx: GrassContext, table: CoeffTable, dmax: int) -> Report
             C.get(((), lam.parts, mu.parts, 0), 0) == (1 if lam == mu else 0),
             "delta at {},{}", lam.parts, mu.parts,
         )
-        for nu, d in row:
-            v = C.get((lam.parts, mu.parts, nu.parts, d), 0)
-            rep.run(
-                v == C.get((mu.parts, lam.parts, nu.parts, d), 0),
-                "commutativity at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
-            )
-            rep.run(
-                v == C.get((vee[nu], mu.parts, vee[lam], d), 0),
-                "vee duality at {},{},{},{}", lam.parts, mu.parts, nu.parts, d,
-            )
+        values = [C.get((lam.parts, mu.parts, nu.parts, d), 0) for nu, d in row]
+        swapped = [C.get((mu.parts, lam.parts, nu.parts, d), 0) for nu, d in row]
+        dual = [C.get((vee[nu], mu.parts, vee[lam], d), 0) for nu, d in row]
+        rep.run_rows(
+            [
+                (values, swapped, "commutativity at {},{},{},{}"),
+                (values, dual, "vee duality at {},{},{},{}"),
+            ],
+            lambda x: (lam.parts, mu.parts, row[x][0].parts, row[x][1]),
+        )
     return rep
 
 
@@ -396,7 +396,7 @@ def cyl_schur_to_schur(ctx: GrassContext, lam, d: int, mu) -> SymFunc:
         if term is None or term[1] > d:
             continue
         core, weight, sign = term
-        c = gw_bvi(other, mu_c, core, lam_c, d - weight)
+        c = gw_ribbon(other, mu_c, core, lam_c, d - weight)
         if c:
             out[conjugate(nu)] = Fraction(sign * c)
     return SymFunc.make("s", out)
@@ -431,7 +431,7 @@ def mcnamara_expand(ctx: GrassContext, lam, d: int, mu) -> dict:
     for nu in ctx.boxed:
         d_prime, rem = divmod(nu.size - lam.size + mu.size, ctx.n)
         if rem == 0 and 0 <= d_prime <= d:
-            c = gw_bvi(ctx, mu, nu, lam, d_prime)
+            c = gw_ribbon(ctx, mu, nu, lam, d_prime)
             if c:
                 out[(nu, d - d_prime)] = c
     return out
@@ -440,21 +440,15 @@ def mcnamara_expand(ctx: GrassContext, lam, d: int, mu) -> dict:
 def nonskew_orthogonality(ctx: GrassContext, dmax: int) -> Report:
     """Hall pairings of non-skew cylindric Schur functions against core-fiber counts."""
     rep = Report(f"non-skew orthogonality Gr({ctx.k},{ctx.n})")
-    funcs = {}
-    for lam in ctx.boxed:
-        for d in range(dmax + 1):
-            funcs[(lam, d)] = cyl_schur_p(ctx, lam, d, BoxedPartition((), ctx.n, ctx.k))
-    for (lam, d), f in funcs.items():
-        for (mu, d2), g in funcs.items():
-            expected = (
-                Fraction(len(core_fiber(ctx, lam, d)))
-                if (lam == mu and d == d2)
-                else Fraction(0)
-            )
-            rep.run(
-                hall_inner(f, g) == expected,
-                "pairing at {},{} vs {},{}", lam.parts, d, mu.parts, d2,
-            )
+    keys = [(lam, d) for lam in ctx.boxed for d in range(dmax + 1)]
+    funcs = [cyl_schur_p(ctx, lam, d, BoxedPartition((), ctx.n, ctx.k)) for lam, d in keys]
+    for (lam, d), f in zip(keys, funcs):
+        pairings = [hall_inner(f, g) for g in funcs]
+        expected = [len(core_fiber(ctx, lam, d)) if key == (lam, d) else 0 for key in keys]
+        rep.run_rows(
+            [(pairings, expected, "pairing at {},{} vs {},{}")],
+            lambda x: (lam.parts, d, keys[x][0].parts, keys[x][1]),
+        )
     return rep
 
 

@@ -9,6 +9,8 @@ from cylsym.affine import is_valid_shape
 from cylsym.cylindric import (
     KINDS,
     Crpp,
+    PackedAntipode,
+    _expansions,
     antipode_check,
     coproduct_cyl_check,
     cyl_e,
@@ -231,6 +233,23 @@ def test_antipode_intertwines():
             for mu in enumerate_alcove(n, k):
                 for d in range(0, 2):
                     assert antipode_check(lam, d, mu)
+
+
+def test_packed_antipode_names_exactly_the_corrupted_pair():
+    n, k = 4, 2
+    A = enumerate_alcove(n, k)
+    target, rho = (A[3], A[2]), (2, 1, 1)  # (3,1)/1/(2,2): one of 16 pairs of degree 4
+    packed = PackedAntipode()
+    for mu in A:
+        hs = _expansions(mu, [(lam, 1) for lam in A], "general")
+        es = _expansions(mu, [(lam, 1) for lam in A], "row-strict")
+        for lam in A:
+            e = dict(es[(lam, 1)])
+            if (lam, mu) == target:
+                assert rho in e
+                e[rho] += 1
+            packed.add((lam, mu), lam.size - mu.size + n, hs[(lam, 1)], e)
+    assert packed.failing() == {target}
 
 
 def test_function_vee_duality():

@@ -15,6 +15,7 @@ from cylsym.fusion import (
     CoeffTable,
     Report,
     FusionContext,
+    _slots,
     build_table,
     frobenius_suite,
     fusion_count,
@@ -328,7 +329,7 @@ def test_symmetry_packing_tells_a_carry_shaped_corruption():
     assert not expected.ok and symmetry_suite(ctxs[0]).failures == expected.failures
 
 
-def test_symmetry_suite_with_a_negative_entry_checks_entry_by_entry(monkeypatch):
+def test_symmetry_suite_packs_an_array_with_a_negative_entry(monkeypatch):
     n, k = 4, 2
     m = len(enumerate_alcove(n, k))
     # N[0][0][0] = N_{(1,1),(1,1)}^{(1,1)} is 0: one step down makes it -1
@@ -339,7 +340,42 @@ def test_symmetry_suite_with_a_negative_entry_checks_entry_by_entry(monkeypatch)
     monkeypatch.setattr(Report, "run", lambda self, *args: runs.append(1) or run(self, *args))
     got = symmetry_suite(corrupted(n, k, (0, 0, 0), -1))
     assert got.failures == expected.failures and got.checks == expected.checks
-    assert len(runs) >= m**4  # every associativity entry ran one check
+    assert len(runs) < m**4  # associativity went through the signed packed comparison
+
+
+def test_run_rows_keeps_the_per_entry_witness_order_and_count():
+    rows = [
+        ([0, 1, 2, 3, 4], [0, 1, 9, 3, 9], "first at {},{}"),
+        ([5, 6, 7, 8, 9], [5, 0, 7, 8, 9], "second at {},{}"),
+        ([1, 1, 1, 1, 1], [1, 1, 1, 1, 1], "third at {},{}"),
+    ]
+    expected = Report("rows")
+    for x in range(5):
+        for left, right, witness in rows:
+            expected.run(left[x] == right[x], witness, "x", x)
+    got = Report("rows")
+    got.run_rows(rows, lambda x: ("x", x))
+    assert got.failures == expected.failures == ["second at x,1", "first at x,2", "first at x,4"]
+    assert got.checks == expected.checks == 15
+
+    def unread(x):
+        raise AssertionError("labels read for equal rows")
+
+    equal = Report("rows")
+    equal.run_rows([(left, list(left), witness) for left, _, witness in rows], unread)
+    assert equal.ok and equal.checks == 15
+
+
+def test_slots_round_trip_signed_vectors_of_mixed_widths():
+    rng = random.Random(11)
+    for _ in range(300):
+        widths = [rng.randrange(1, 70) for _ in range(rng.randrange(1, 12))]
+        values = []
+        for w in widths:
+            top = (1 << (w - 1)) - 1  # the largest |v| a signed w-bit slot holds
+            values.append(rng.choice([top, -top, rng.randint(-top, top)]))
+        x = sum(v << sum(widths[:r]) for r, v in enumerate(values))
+        assert _slots(x, widths) == values, (widths, values)
 
 
 def test_fusion_table_and_suites_evaluate_no_monomial(monkeypatch):

@@ -400,6 +400,32 @@ def test_mcnamara_reconstruction():
             assert table == {(lam, d): 1}
 
 
+def test_mcnamara_expand_reads_the_rim_hook_products(monkeypatch):
+    # one off-by-one entry of one pair's rim-hook product must show against gw_bvi
+    ctx = grass_context(4, 2)
+    product = grassmannian._reduced_product
+
+    def off_by_one(ctx, lam, mu):
+        if (lam.size, lam.parts) < (mu.size, mu.parts):
+            lam, mu = mu, lam  # the canonical order: no cached entry takes the change
+        out = product(ctx, lam, mu)
+        if (lam.parts, mu.parts) == ((2, 1), (1,)):
+            out = dict(out)
+            out[((2, 2), 0)] += 1
+        return out
+
+    monkeypatch.setattr(grassmannian, "_reduced_product", off_by_one)
+    wrong = {
+        (lam.parts, d, mu.parts, nu.parts, e)
+        for lam in ctx.boxed
+        for mu in ctx.boxed
+        for d in range(3)
+        for (nu, e), c in mcnamara_expand(ctx, lam, d, mu).items()
+        if c != gw_bvi(ctx, mu, nu, lam, d - e)
+    }
+    assert wrong == {((2, 2), d, mu, nu, d) for d in range(3) for mu, nu in (((2, 1), (1,)), ((1,), (2, 1)))}
+
+
 def test_toric_schur_matches_gw():
     ctx = grass_context(4, 2)
     for lam in ctx.boxed:

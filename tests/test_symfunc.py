@@ -205,6 +205,22 @@ def test_coassociativity():
                 assert left == right, (basis, lam)
 
 
+def test_symfunc_arithmetic_operators_match_multiply_and_convert():
+    f = sym("m", (2, 1)) * 3 + sym("m", (1, 1, 1))
+    g = sym("p", (2, 1))
+    g_m = convert(g, "m")
+    total = f + g  # across bases: the right summand is converted to the left basis
+    assert total.basis == "m"
+    assert total == SymFunc.make("m", {lam: f[lam] + g_m[lam] for lam in partitions_of(3)})
+    diff = f - g
+    assert diff.basis == "m"
+    assert diff == SymFunc.make("m", {lam: f[lam] - g_m[lam] for lam in partitions_of(3)})
+    assert (g - g).is_zero() and diff != total
+    assert f * g == multiply(f, g) and g * f == multiply(g, f)
+    m1 = sym("m", (1,))
+    assert m1 * m1 == SymFunc.make("m", {(2,): 1, (1, 1): 2})
+
+
 def test_antipode_and_omega():
     assert antipode(sym("p", (3,))) == sym("p", (3,)) * -1
     assert antipode(sym("h", (2, 1))) == sym("e", (2, 1)) * -1
