@@ -23,12 +23,11 @@ from .cylindric import (
     cyl_e,
     cyl_h,
     nonskew_from_array,
+    oracle_rows,
     phi_cyl,
     phi_cyl_oracle,
     psi_cyl,
-    psi_cyl_oracle,
     theta_cyl,
-    theta_cyl_oracle,
 )
 from .partitions import AlcoveWeight, BoxedPartition, enumerate_alcove, format_partition
 from .partitions import lawful_rows, parse_partition
@@ -119,16 +118,17 @@ def cmd_cyl(args) -> int:
 def _suite_formula_oracle(n: int, k: int) -> fu.Report:
     rep = fu.Report(f"formula vs oracle (n={n}, k={k})")
     alcove = enumerate_alcove(n, k)
-    routes = [
-        (theta_cyl, theta_cyl_oracle, "theta at {}/{}/{}"),
-        (psi_cyl, psi_cyl_oracle, "psi at {}/{}/{}"),
-        (phi_cyl, phi_cyl_oracle, "phi at {}/{}/{}"),
-    ]
     for lam in alcove:
         for mu in alcove:
+            theta, psi = oracle_rows(lam, mu, 3)
             rows = [
-                ([f(lam, d, mu) for d in range(4)], [g(lam, d, mu) for d in range(4)], witness)
-                for f, g, witness in routes
+                ([theta_cyl(lam, d, mu) for d in range(4)], theta, "theta at {}/{}/{}"),
+                ([psi_cyl(lam, d, mu) for d in range(4)], psi, "psi at {}/{}/{}"),
+                (
+                    [phi_cyl(lam, d, mu) for d in range(4)],
+                    [phi_cyl_oracle(lam, d, mu) for d in range(4)],
+                    "phi at {}/{}/{}",
+                ),
             ]
             rep.run_rows(rows, lambda d: (lam.parts, d, mu.parts))
     return rep
@@ -137,18 +137,16 @@ def _suite_formula_oracle(n: int, k: int) -> fu.Report:
 def _suite_route_equivalence(n: int, k: int) -> fu.Report:
     ctx = fu.FusionContext(n, k)
     rep = fu.Report(f"fusion route equivalence (n={n}, k={k})")
-    for i, lam in enumerate(ctx.alcove):
-        for j, mu in enumerate(ctx.alcove):
-            for l, nu in enumerate(ctx.alcove):
-                # all three give N_{lam mu}^nu: the per-triple count (top index
-                # first), the Verlinde sum and the array's count by partners
-                a = fu.n_count(nu, lam, mu)
-                b = fu.n_verlinde(ctx, lam, mu, nu)
-                c = ctx.fusion[i][j][l]
-                rep.run(
-                    a == b == c, "routes at {},{},{}: {},{},{}",
-                    lam.parts, mu.parts, nu.parts, a, b, c,
-                )
+    A = ctx.alcove
+    for i, lam in enumerate(A):
+        for j, mu in enumerate(A):
+            # all three give N_{lam mu}^nu for every nu: the count of pairs binned
+            # by residues, the Verlinde sum and the array's count by partners
+            a, b, c = fu.count_row(ctx, lam, mu), fu.verlinde_row(ctx, lam, mu), ctx.fusion[i][j]
+            rep.run_rows(
+                [(list(zip(a, b)), [(x, x) for x in c], "routes at {},{},{}: {},{},{}")],
+                lambda l: (lam.parts, mu.parts, A[l].parts, a[l], b[l], c[l]),
+            )
     if 1 <= k < n:
         gctx = gr.grass_context(n, k)
         for lam, mu, row in lawful_rows(gctx.boxed, n, 1):

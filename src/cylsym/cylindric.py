@@ -71,15 +71,37 @@ def theta_cyl(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
 def theta_cyl_oracle(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
     """Brute count of pairs (w, beta): mu.w <= lam + n*beta, beta >= 0, |beta| = d."""
     lam.same_context(mu)
-    if d < 0:
-        return 0
-    n, k = lam.n, lam.k
-    count = 0
+    return oracle_rows(lam, mu, d)[0][d] if d >= 0 else 0
+
+
+def oracle_rows(lam: AlcoveWeight, mu: AlcoveWeight, dmax: int) -> tuple[list[int], list[int]]:
+    """The brute counts of `theta_cyl_oracle` and `psi_cyl_oracle` for d = 0..dmax.
+
+    For a rearrangement alpha of mu both conditions split by coordinate:
+    alpha_i <= lam_i + n b_i is b_i >= ceil((alpha_i - lam_i)/n), and
+    lam_i - alpha_i + n b_i in {0, 1} adds b_i <= floor((alpha_i - lam_i + 1)/n).
+    The compositions b of d within the bounds are counted once per (d, bounds).
+    """
+    lam.same_context(mu)
+    n = lam.n
+    theta, psi = [0] * (dmax + 1), [0] * (dmax + 1)
     for alpha in distinct_permutations(mu.parts):
-        for beta in _compositions(d, k):
-            if all(a <= l + n * b for a, l, b in zip(alpha, lam.parts, beta)):
-                count += 1
-    return count
+        low = tuple(max(0, -((l - a) // n)) for a, l in zip(alpha, lam.parts))
+        high = tuple((a - l + 1) // n for a, l in zip(alpha, lam.parts))
+        for d in range(dmax + 1):
+            theta[d] += _compositions_within(d, low, None)
+            psi[d] += _compositions_within(d, low, high)
+    return theta, psi
+
+
+@lru_cache(maxsize=None)
+def _compositions_within(total: int, low: tuple, high: tuple | None) -> int:
+    """The compositions of total into len(low) parts with low <= b entrywise,
+    and b <= high unless high is None."""
+    return sum(
+        all(map(int.__le__, low, beta)) and (high is None or all(map(int.__le__, beta, high)))
+        for beta in _compositions(total, len(low))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -116,15 +138,7 @@ def psi_cyl(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
 def psi_cyl_oracle(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
     """Brute count of (w, alpha) with lam - mu.w + n*alpha having all entries 0 or 1."""
     lam.same_context(mu)
-    if d < 0:
-        return 0
-    n, k = lam.n, lam.k
-    count = 0
-    for perm in distinct_permutations(mu.parts):
-        for alpha in _compositions(d, k):
-            if all(l - p + n * a in (0, 1) for l, p, a in zip(lam.parts, perm, alpha)):
-                count += 1
-    return count
+    return oracle_rows(lam, mu, d)[1][d] if d >= 0 else 0
 
 
 @lru_cache(maxsize=None)

@@ -5,18 +5,22 @@ The three routes: counting pairs of rearrangements (the defining cardinality),
 the root-of-unity orthogonality sum (Verlinde), and reduction of out-of-alcove
 indices by stabiliser ratios.  The fusion array of a context counts the same
 pairs by one pass over partners, independently of the per-triple count.
+The first two routes also come by rows, every nu of a pair (lam, mu) at once:
+`count_row` bins the pairs of rearrangements by residues, and `verlinde_row`
+contracts against the packed dual vectors of every nu.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
-from operator import mul
+from operator import add, mul
 
 from .cyclotomic import CycloNum, NonIntegralError, eval_msym, msym_exponents, sqrt_int, zeta_pow
-from .cyclotomic import _reduce_mod_phi
+from .cyclotomic import _reduce_mod_phi, _root_sum
 from .partitions import (
     AlcoveWeight,
     Partition,
@@ -115,6 +119,32 @@ def n_count(lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:
     return fusion_count(lam.parts, mu.parts, nu_parts, lam.n, lam.k)
 
 
+def count_row(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight) -> list[int]:
+    """N_{lam mu}^nu for every nu of the alcove by the counting definition,
+    one pass over the pairs (a, b) of rearrangements of lam and mu.
+
+    Each pair lands in the bin of the multiset of residues of a + b mod n,
+    keyed as sum_i (k+1)^((a_i + b_i) mod n).  Permuting the coordinates of a
+    counted pair permutes its sum, so the bin of nu's residues counts every
+    rearrangement of them equally often: N times their number k!/|S_nu|.  A
+    remainder raises ArithmeticError, also under python -O."""
+    ctx._check(lam, mu)
+    n, base = ctx.n, ctx.k + 1
+    power = [base ** (t % n) for t in range(2 * n + 1)]
+    bins = Counter()
+    for a in distinct_permutations(lam.parts):
+        for b in distinct_permutations(mu.parts):
+            bins[sum(map(power.__getitem__, map(add, a, b)))] += 1
+    row = []
+    for nu in ctx.alcove:
+        total = bins[sum(power[p] for p in nu.parts)]
+        value, rem = divmod(total, len(distinct_permutations(nu.parts)))
+        if rem:
+            raise ArithmeticError(f"{total} pairs at {nu.parts} do not share evenly")
+        row.append(value)
+    return row
+
+
 # ---------------------------------------------------------------------------
 # context with cached root-of-unity data
 
@@ -189,17 +219,51 @@ class FusionContext:
             out += conv
         return out
 
-    def _contract(self, p: list[int], nu: AlcoveWeight) -> list[int]:
-        """The residue mod Phi_n of sum_(sigma, i) p[sigma, i] x^i m^{nu*}(x^sigma) k!/|S_sigma|,
-        as phi(n) dot products with the dual vectors of nu, built once per nu."""
+    def _dual(self, nu: AlcoveWeight) -> list[tuple[int, ...]]:
+        """The phi(n) dual vectors of nu over the columns (sigma, i): the residues
+        mod Phi_n of x^i m^{nu*}(x^sigma) k!/|S_sigma|, built once per nu."""
         if nu.parts not in self._duals:
             star = nu.star().parts
-            cols = []
-            for s, e in zip(self.alcove, self.msym_counts[star]):
-                e = [stab_order(star) * self.orbit[s.parts] * c for c in e]
-                cols += [_reduce_mod_phi(e[-i:] + e[:-i], self.n) for i in range(self.n)]
-            self._duals[nu.parts] = list(zip(*cols))
-        return [sum(map(mul, p, q)) for q in self._duals[nu.parts]]
+            weighted = [
+                [stab_order(star) * self.orbit[s.parts] * c for c in e]
+                for s, e in zip(self.alcove, self.msym_counts[star])
+            ]
+            self._duals[nu.parts] = _rotations(weighted, self.n)
+        return self._duals[nu.parts]
+
+    def _contract(self, p: list[int], nu: AlcoveWeight) -> list[int]:
+        """The residue mod Phi_n of sum_(sigma, i) p[sigma, i] x^i m^{nu*}(x^sigma) k!/|S_sigma|,
+        as phi(n) dot products with the dual vectors of nu."""
+        return [sum(map(mul, p, q)) for q in self._dual(nu)]
+
+    @cached_property
+    def _packed_duals(self) -> tuple[list[int], list[int]]:
+        """The dual vectors of every nu packed column by column: one integer per
+        (sigma, i) with a signed W-bit slot per (nu, r), and the slot widths.
+
+        A contraction with a product p = m_lam m_mu has |p|_1 <= |A| c^2 for
+        the largest exponent count c = max |m_lam(x^sigma)|_1, so every slot
+        of it is below |A| c^2 max|dual| < 2^(W-1) in absolute value."""
+        duals = [q for nu in self.alcove for q in self._dual(nu)]
+        mass = max(sum(map(abs, e)) for rows in self.msym_counts.values() for e in rows)
+        top = max(abs(v) for q in duals for v in q)
+        width = (len(self.alcove) * mass**2 * top).bit_length() + 1
+        packed = [sum(v << (width * s) for s, v in enumerate(col)) for col in zip(*duals)]
+        return packed, [width] * len(duals)
+
+    def _integral(self, r: list[int]) -> int:
+        """The integer r / (n^k k!) for a residue r mod Phi_n; a nonconstant or
+        non-integral r raises NonIntegralError, also under python -O."""
+        value, rem = divmod(r[0], self.scale)
+        if rem or any(r[1:]):
+            raise NonIntegralError(CycloNum._of(self.n, r, self.scale), "Verlinde sum")
+        return value
+
+
+def _rotations(vectors, n: int) -> list[tuple[int, ...]]:
+    """The residues mod Phi_n of x^i v for every v in Z[x]/(x^n - 1) and every
+    i < n, transposed: phi(n) vectors over the columns (v, i)."""
+    return list(zip(*(_reduce_mod_phi(v[-i:] + v[:-i], n) for v in vectors for i in range(n))))
 
 
 def n_verlinde(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu: AlcoveWeight) -> int:
@@ -210,11 +274,18 @@ def n_verlinde(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu: Alco
     Z[x]/(x^n - 1) reduced by Phi_n; a non-integral value raises NonIntegralError.
     """
     ctx._check(lam, mu, nu)
-    r = ctx._contract(ctx._product(lam.parts, mu.parts), nu)
-    value, rem = divmod(r[0], ctx.scale)
-    if rem or any(r[1:]):
-        raise NonIntegralError(CycloNum._of(ctx.n, r, ctx.scale), "Verlinde sum")
-    return value
+    return ctx._integral(ctx._contract(ctx._product(lam.parts, mu.parts), nu))
+
+
+def verlinde_row(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight) -> list[int]:
+    """N_{lam mu}^nu for every nu of the alcove by the Verlinde route: the
+    contractions of `n_verlinde` for all nu at once, as one dot product of the
+    product m_lam m_mu with the packed dual columns, decoded by `_slots`."""
+    ctx._check(lam, mu)
+    packed, widths = ctx._packed_duals
+    r = _slots(sum(map(mul, ctx._product(lam.parts, mu.parts), packed)), widths)
+    step = len(r) // len(ctx.alcove)
+    return [ctx._integral(r[s : s + step]) for s in range(0, len(r), step)]
 
 
 def n_reduce(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:
@@ -414,31 +485,32 @@ def s_matrix_inverse_check(ctx: FusionContext) -> Report:
     """S * S^{-1} = id with the inverse built from the conjugate entries
     m_mu(zeta^{-nu}), read as the complex conjugates of m_mu(zeta^nu).
 
-    With both scalings omitted the product must equal n^k times the identity;
-    the middle index carries the stabiliser weight.
+    With both scalings omitted the product must equal n^k times the identity.
+    It is contracted in integers as `orthogonality_check` is: conjugation is
+    exponent reversal in Z[x]/(x^n - 1), done once per entry, and each product
+    entry is phi(n) dot products with the rotations of the reversed column.
     """
     rep = Report(f"S-matrix inverse (n={ctx.n}, k={ctx.k})")
-    n, k = ctx.n, ctx.k
-    S, _ = s_matrix(ctx)
-    for i, lam in enumerate(ctx.alcove):
-        for l, nu in enumerate(ctx.alcove):
-            total = CycloNum.zero(n)
-            for row, s in zip(S, S[i]):
-                total = total + s * row[l].conjugate()
-            ok = total == CycloNum.from_rational(n, n**k if i == l else 0)
+    n, A = ctx.n, ctx.alcove
+    E = [ctx.msym_counts[a.parts] for a in A]
+    duals = [_rotations([row[l][:1] + row[l][:0:-1] for row in E], n) for l in range(len(A))]
+    for i, lam in enumerate(A):
+        flat = [c for e in E[i] for c in e]
+        for l, nu in enumerate(A):
+            r = [sum(map(mul, flat, q)) for q in duals[l]]
+            ok = not any(r[1:]) and r[0] == (n**ctx.k if i == l else 0)
             rep.run(ok, "inverse at {},{}", lam.parts, nu.parts)
     return rep
 
 
+def _t_exponent(lam: Partition, n: int, k: int) -> int:
+    """The T-matrix entry of lam as a power of zeta_{24n}."""
+    return -k * n * (n - 1) + 12 * sum(p * (n - p) for p in lam)
+
+
 def t_matrix(ctx: FusionContext):
     """Diagonal T-matrix data in Q(zeta_{24n}): a 24th-root phase times zeta powers."""
-    n, k = ctx.n, ctx.k
-    big = 24 * n
-    out = []
-    for lam in ctx.alcove:
-        exponent = -k * n * (n - 1) + 12 * sum(p * (n - p) for p in lam.parts)
-        out.append((lam, zeta_pow(big, exponent)))
-    return out
+    return [(lam, zeta_pow(24 * ctx.n, _t_exponent(lam.parts, ctx.n, ctx.k))) for lam in ctx.alcove]
 
 
 def t_unitarity_check(ctx: FusionContext) -> Report:
@@ -452,48 +524,42 @@ def t_unitarity_check(ctx: FusionContext) -> Report:
 def modular_relations_check(n: int) -> Report:
     """k = 1 presentation: S^2 = (ST)^3 = C with the charge conjugation C.
 
-    Runs in Q(zeta_{24n}) where both sqrt(n) and the T phase exist exactly.
+    Runs in the group ring Z[x]/(x^{24n} - 1), x standing for zeta_{24n}:
+    S' = sqrt(n) S has the monomial entries x^{24ab} and T the monomials
+    x^t(a), so S'^2, (S'T)^3 and S' conj(S') are sums of monomials.  Each
+    entry is reduced once by Phi_{24n} and compared with n C, n sqrt(n) C and
+    n id in Q(zeta_{24n}), where sqrt(n) exists exactly.
     """
     rep = Report(f"modular relations (n={n}, k=1)")
     big = 24 * n
-    sqrt_n = sqrt_int(n, big)
-    inv_sqrt = sqrt_n.inv()
-    S = [
-        [zeta_pow(big, 24 * a * b) * inv_sqrt for b in range(1, n + 1)]
-        for a in range(1, n + 1)
-    ]
-    phases = [t for _, t in t_matrix(FusionContext(n, 1))]  # alcove (1,), ..., (n,)
-    T = [[t if a == b else CycloNum.zero(big) for b in range(n)] for a, t in enumerate(phases)]
-    C = [
-        [
-            CycloNum.from_rational(big, 1 if (a + b) % n == 0 else 0)
-            for b in range(1, n + 1)
-        ]
-        for a in range(1, n + 1)
-    ]
+    idx = range(1, n + 1)
+    t = {a: _t_exponent((a,), n, 1) for a in idx}
+    zero, scaled = CycloNum.zero(big), CycloNum.from_rational(big, n)
 
-    def matmul(X, Y):
-        return [
-            [
-                sum((X[i][m] * Y[m][j] for m in range(n)), CycloNum.zero(big))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+    def equal(exponents, where, value) -> bool:
+        # each entry sum_e x^e over exponents(a, c), reduced once, is value where
+        # where(a, c) holds and 0 elsewhere
+        return all(
+            _root_sum(big, ((e, 1) for e in exponents(a, c))) == (value if where(a, c) else zero)
+            for a in idx
+            for c in idx
+        )
 
-    def equal(X, Y):
-        return all((X[i][j] - Y[i][j]).is_zero() for i in range(n) for j in range(n))
+    def charge(a, c):
+        return (a + c) % n == 0
 
-    S2 = matmul(S, S)
-    rep.run(equal(S2, C), "S^2 = C")
-    ST = matmul(S, T)
-    rep.run(equal(matmul(matmul(ST, ST), ST), C), "(ST)^3 = C")
-    S_conj = [[S[i][j].conjugate() for j in range(n)] for i in range(n)]
-    ident = [
-        [CycloNum.from_rational(big, 1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    rep.run(equal(matmul(S, S_conj), ident), "S S* = id")
+    rep.run(equal(lambda a, c: [24 * b * (a + c) for b in idx], charge, scaled), "S^2 = C")
+    rep.run(
+        equal(
+            lambda a, d: [
+                24 * (a * b + b * c + c * d) + t[b] + t[c] + t[d] for b in idx for c in idx
+            ],
+            charge,
+            sqrt_int(n, big) * n,
+        ),
+        "(ST)^3 = C",
+    )
+    rep.run(equal(lambda a, c: [24 * b * (a - c) for b in idx], int.__eq__, scaled), "S S* = id")
     return rep
 
 

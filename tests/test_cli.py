@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -152,19 +153,103 @@ def test_verify_coalgebra_detects_a_wrong_antipode_row(capsys, monkeypatch):
 
 
 def test_route_equivalence_third_route_reads_the_array(capsys, monkeypatch):
-    # an off-by-one per-triple count shows against the array's count by partners
-    count = fusion.fusion_count
+    # an off-by-one row count shows against the array's count by partners
+    row = fusion.count_row
 
-    def off_by_one(lam, mu, nu, n, k):
-        return count(lam, mu, nu, n, k) + ((lam, mu, nu) == ((3, 3), (2, 1), (2, 1)))
+    def off_by_one(ctx, lam, mu):
+        out = row(ctx, lam, mu)
+        if (lam.parts, mu.parts) == ((2, 1), (2, 1)):
+            out[ctx.index[(3, 3)]] += 1
+        return out
 
-    monkeypatch.setattr(fusion, "fusion_count", off_by_one)
+    monkeypatch.setattr(fusion, "count_row", off_by_one)
     code, out, _ = run(capsys, "verify", "route-equivalence", "--n", "3", "--k", "2")
     assert code == 1
     assert out == (
         "fusion route equivalence (n=3, k=2): 225 checks, FAILED (1)\n"
         "  first counterexample: routes at (2, 1),(2, 1),(3, 3): 3,2,2\n"
     )
+
+
+def patch_cached(monkeypatch, cls, name, change):
+    """Rebind the cached property cls.name to change(self, original value)."""
+    original = getattr(cls, name).func
+    prop = cached_property(lambda self: change(self, original(self)))
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+
+
+def test_route_equivalence_fails_on_a_packed_dual_slot_off_by_one(capsys, monkeypatch):
+    # nu = (3, 3)'s constant slot in the column (unit, x^0) off by n^k k!, one
+    # unit of N after the division: m_lam m_mu at the unit is |S_k lam| |S_k mu| x^0
+    def bumped(ctx, value):
+        packed, widths = value
+        phi = len(widths) // len(ctx.alcove)
+        column = ctx.index[ctx.unit().parts] * ctx.n
+        packed = list(packed)
+        packed[column] += ctx.scale << (widths[0] * phi * ctx.index[(3, 3)])
+        return packed, widths
+
+    patch_cached(monkeypatch, fusion.FusionContext, "_packed_duals", bumped)
+    code, out, _ = run(capsys, "verify", "route-equivalence", "--n", "3", "--k", "2")
+    assert code == 1
+    assert out == (
+        "fusion route equivalence (n=3, k=2): 225 checks, FAILED (36)\n"
+        "  first counterexample: routes at (1, 1),(1, 1),(3, 3): 0,1,0\n"
+    )
+
+
+def test_route_equivalence_fails_on_an_array_entry_off_by_one(capsys, monkeypatch):
+    def bumped(ctx, planes):
+        planes[ctx.index[(2, 1)]][ctx.index[(3, 2)]][ctx.index[(3, 2)]] += 1
+        return planes
+
+    patch_cached(monkeypatch, fusion.FusionContext, "fusion", bumped)
+    code, out, _ = run(capsys, "verify", "route-equivalence", "--n", "3", "--k", "2")
+    assert code == 1
+    assert out == (
+        "fusion route equivalence (n=3, k=2): 225 checks, FAILED (1)\n"
+        "  first counterexample: routes at (2, 1),(3, 2),(3, 2): 1,1,2\n"
+    )
+
+
+PACKAGE = Path(cylsym.__file__).resolve().parent
+
+
+@pytest.mark.parametrize(
+    "line,mutant,failed",
+    [
+        # theta's lower bound on every b_i off by one
+        (
+            "theta[d] += _compositions_within(d, low, None)",
+            "theta[d] += _compositions_within(d, tuple(x + 1 for x in low), None)",
+            "FAILED (123)\n  first counterexample: theta at (1, 1)/0/(1, 1)\n",
+        ),
+        # psi's lam_i - alpha_i + n b_i in {0, 1} narrowed to {0}
+        (
+            "high = tuple((a - l + 1) // n",
+            "high = tuple((a - l) // n",
+            "FAILED (15)\n  first counterexample: psi at (1, 1)/1/(3, 1)\n",
+        ),
+    ],
+    ids=["theta-bound", "psi-strip"],
+)
+def test_formula_oracle_fails_on_a_mutant_oracle(tmp_path, line, mutant, failed):
+    target = tmp_path / "cylsym"
+    target.mkdir()
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        if path.name == "cylindric.py":
+            assert text.count(line) == 1
+            text = text.replace(line, mutant)
+        (target / path.name).write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cylsym.cli", "verify", "formula-oracle", "--n", "3", "--k", "2"],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "formula vs oracle (n=3, k=2): 432 checks, " + failed)
 
 
 def per_pair_antipode_failures(n, k):
@@ -357,6 +442,34 @@ def test_outputs_match_the_stored_reference_digests():
         if code != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest() != outputs[key]:
             stale.append(key)
     assert stale == []
+
+
+JOBS = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+
+VERIFY_JOB_SUMMARIES = {
+    ("formula-oracle", 4, 3): "formula vs oracle (n=4, k=3): 4800 checks, ok\n",
+    ("coalgebra", 4, 3): "coalgebra (n=4, k=3): 1209 checks, ok\n",
+    ("symmetry", 5, 2): "fusion symmetries (n=5, k=2): 64800 checks, ok\n",
+    ("route-equivalence", 4, 2): "fusion route equivalence (n=4, k=2): 1054 checks, ok\n",
+    ("route-equivalence", 3, 3): "fusion route equivalence (n=3, k=3): 1000 checks, ok\n",
+    ("orthogonality", 5, 1): "monomial orthogonality (n=5, k=1): 58 checks, ok\n",
+}
+
+
+def test_benchmark_verify_jobs_print_the_pinned_summaries(capsys):
+    """The summary line of every job of the benchmark's verify workload, byte
+    for byte, with the job list read from VERIFY_SUITES in its file."""
+    tree = ast.parse(JOBS.read_text())
+    (suites,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "VERIFY_SUITES" for t in node.targets)
+    ]
+    assert set(suites) == set(VERIFY_JOB_SUMMARIES)
+    for suite, n, k in suites:
+        code, out, _ = run(capsys, "verify", suite, "--n", str(n), "--k", str(k))
+        assert (code, out) == (0, VERIFY_JOB_SUMMARIES[(suite, n, k)])
 
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"

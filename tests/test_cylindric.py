@@ -10,6 +10,7 @@ from cylsym.cylindric import (
     KINDS,
     Crpp,
     PackedAntipode,
+    _compositions,
     _expansions,
     antipode_check,
     coproduct_cyl_check,
@@ -21,6 +22,7 @@ from cylsym.cylindric import (
     cyl_p_expand,
     enumerate_crpp,
     nonskew_cyl_h,
+    oracle_rows,
     phi_cyl,
     phi_cyl_oracle,
     phi_weight,
@@ -34,6 +36,7 @@ from cylsym.cylindric import (
 from cylsym.fusion import fusion_count
 from cylsym.partitions import (
     AlcoveWeight,
+    distinct_permutations,
     enumerate_alcove,
     multiplicity,
     partitions_of,
@@ -69,6 +72,38 @@ def test_formula_vs_oracle(n, k):
                 assert theta_cyl(lam, d, mu) == theta_cyl_oracle(lam, d, mu)
                 assert psi_cyl(lam, d, mu) == psi_cyl_oracle(lam, d, mu)
                 assert phi_cyl(lam, d, mu) == phi_cyl_oracle(lam, d, mu)
+
+
+def theta_reference(lam, d, mu):
+    """Brute count of pairs (w, beta): mu.w <= lam + n*beta, beta >= 0, |beta| = d."""
+    n, k = lam.n, lam.k
+    count = 0
+    for alpha in distinct_permutations(mu.parts):
+        for beta in _compositions(d, k):
+            if all(a <= l + n * b for a, l, b in zip(alpha, lam.parts, beta)):
+                count += 1
+    return count
+
+
+def psi_reference(lam, d, mu):
+    """Brute count of (w, alpha) with lam - mu.w + n*alpha having all entries 0 or 1."""
+    n, k = lam.n, lam.k
+    count = 0
+    for perm in distinct_permutations(mu.parts):
+        for alpha in _compositions(d, k):
+            if all(l - p + n * a in (0, 1) for l, p, a in zip(lam.parts, perm, alpha)):
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (3, 4), (6, 2), (2, 5)])
+def test_oracle_rows_equal_the_nested_loops(n, k):
+    for lam in enumerate_alcove(n, k):
+        for mu in enumerate_alcove(n, k):
+            theta = [theta_reference(lam, d, mu) for d in range(5)]
+            psi = [psi_reference(lam, d, mu) for d in range(5)]
+            assert oracle_rows(lam, mu, 4) == (theta, psi), (lam, mu)
+            assert theta_cyl_oracle(lam, 2, mu) == theta[2] and psi_cyl_oracle(lam, 2, mu) == psi[2]
 
 
 def test_theta_vanishes_iff_invalid():

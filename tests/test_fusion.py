@@ -17,6 +17,7 @@ from cylsym.fusion import (
     FusionContext,
     _slots,
     build_table,
+    count_row,
     frobenius_suite,
     fusion_count,
     mfusion_pointwise_check,
@@ -29,6 +30,7 @@ from cylsym.fusion import (
     s_matrix_inverse_check,
     symmetry_suite,
     t_unitarity_check,
+    verlinde_row,
 )
 from cylsym.cli import _table_text
 from cylsym.cylindric import cyl_in_nonskew, nonskew_from_array
@@ -151,12 +153,62 @@ def test_verlinde_integrality_check_survives_optimize():
         "else:\n"
         "    raise SystemExit('n_verlinde returned a value')\n"
     )
+    run_optimized(code)
+
+
+def run_optimized(code):
+    """Run code under python -O with this checkout's package; it must exit 0."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cylsym.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 3), (5, 2), (4, 3), (2, 5)])
+def test_route_rows_equal_the_array(n, k):
+    ctx = FusionContext(n, k)
+    A, N = ctx.alcove, ctx.fusion
+    for i, lam in enumerate(A):
+        for j, mu in enumerate(A):
+            assert count_row(ctx, lam, mu) == verlinde_row(ctx, lam, mu) == N[i][j], (lam, mu)
+
+
+def test_route_rows_equal_the_per_triple_routes_sampled():
+    ctx = FusionContext(6, 3)
+    A = ctx.alcove
+    rng = random.Random("route rows 6,3")
+    for _ in range(40):
+        lam, mu = rng.choice(A), rng.choice(A)
+        per_triple = [n_count(nu, lam, mu) for nu in A]
+        assert count_row(ctx, lam, mu) == per_triple == verlinde_row(ctx, lam, mu), (lam, mu)
+        assert per_triple == [n_verlinde(ctx, lam, mu, nu) for nu in A]
+
+
+def test_verlinde_row_integrality_check_survives_optimize():
+    # one packed dual slot off by one at the column (unit, x^0), where
+    # m_unit m_unit = x^0, and one unit of N (n^k k! = 18) in a nonconstant slot
+    code = (
+        "from cylsym.cyclotomic import NonIntegralError\n"
+        "from cylsym.fusion import FusionContext, verlinde_row\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "for slot, step in ((0, 1), (1, 18)):\n"
+        "    ctx = FusionContext(3, 2)\n"
+        "    unit = ctx.unit()\n"
+        "    if verlinde_row(ctx, unit, unit) != [int(nu == unit) for nu in ctx.alcove]:\n"
+        "        raise SystemExit('the unit law fails')\n"
+        "    packed, widths = ctx._packed_duals\n"
+        "    packed[ctx.index[unit.parts] * ctx.n] += step << (widths[0] * slot)\n"
+        "    try:\n"
+        "        verlinde_row(ctx, unit, unit)\n"
+        "    except NonIntegralError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(f'verlinde_row returned a row with slot {slot} off by {step}')\n"
+    )
+    run_optimized(code)
 
 
 def test_fusion_routes_refuse_weights_of_another_context():
@@ -406,10 +458,28 @@ def test_s_matrix_entries():
     assert "sqrt" in meta["scaling"]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_modular_relations_rank_one(n):
     rep = modular_relations_check(n)
     assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_modular_relations_fail_on_a_t_exponent_off_by_one(monkeypatch, n):
+    exponent = fusion._t_exponent
+
+    def off_by_one(lam, n, k):
+        return exponent(lam, n, k) + (lam == (1,))
+
+    monkeypatch.setattr(fusion, "_t_exponent", off_by_one)
+    rep = modular_relations_check(n)
+    assert (rep.checks, rep.failures) == (3, ["(ST)^3 = C"])
+
+
+def test_s_matrix_inverse_one_size_up():
+    ctx = FusionContext(6, 3)
+    rep = s_matrix_inverse_check(ctx)
+    assert (rep.checks, rep.ok) == (3136, True)
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
