@@ -29,7 +29,7 @@ from .cylindric import (
     psi_cyl,
     theta_cyl,
 )
-from .partitions import AlcoveWeight, BoxedPartition, enumerate_alcove, format_partition
+from .partitions import AlcoveWeight, BoxedPartition, format_partition
 from .partitions import lawful_rows, parse_partition
 
 
@@ -115,9 +115,9 @@ def cmd_cyl(args) -> int:
     return 0
 
 
-def _suite_formula_oracle(n: int, k: int) -> fu.Report:
-    rep = fu.Report(f"formula vs oracle (n={n}, k={k})")
-    alcove = enumerate_alcove(n, k)
+def _suite_formula_oracle(ctx: fu.FusionContext) -> fu.Report:
+    rep = fu.Report(f"formula vs oracle (n={ctx.n}, k={ctx.k})")
+    alcove = ctx.alcove
     for lam in alcove:
         for mu in alcove:
             theta, psi = oracle_rows(lam, mu, 3)
@@ -134,8 +134,8 @@ def _suite_formula_oracle(n: int, k: int) -> fu.Report:
     return rep
 
 
-def _suite_route_equivalence(n: int, k: int) -> fu.Report:
-    ctx = fu.FusionContext(n, k)
+def _suite_route_equivalence(ctx: fu.FusionContext) -> fu.Report:
+    n, k = ctx.n, ctx.k
     rep = fu.Report(f"fusion route equivalence (n={n}, k={k})")
     A = ctx.alcove
     for i, lam in enumerate(A):
@@ -159,14 +159,14 @@ def _suite_route_equivalence(n: int, k: int) -> fu.Report:
     return rep
 
 
-def _suite_coalgebra(n: int, k: int) -> fu.Report:
+def _suite_coalgebra(ctx: fu.FusionContext) -> fu.Report:
     """The antipode and positivity at every lam/1/mu, the coproduct on the first
     three alcove points.  One general walk out of each mu, read at (nu, 0) and
     (nu, 1), and one row-strict walk read at (nu, 1) are folded into the
     packed antipode check as they come; only the coproduct's factors are kept.
     The failing pairs are read back from the packed slots, one check per pair
     in the order of the alcove."""
-    ctx = fu.FusionContext(n, k)
+    n, k = ctx.n, ctx.k
     rep = fu.Report(f"coalgebra (n={n}, k={k})")
     alcove = ctx.alcove
     small = alcove[: min(3, len(alcove))]
@@ -195,16 +195,11 @@ def _suite_coalgebra(n: int, k: int) -> fu.Report:
     return rep
 
 
-def _suite_symmetry(n: int, k: int) -> fu.Report:
-    return fu.symmetry_suite(fu.FusionContext(n, k))
-
-
-def _suite_orthogonality(n: int, k: int) -> fu.Report:
-    ctx = fu.FusionContext(n, k)
+def _suite_orthogonality(ctx: fu.FusionContext) -> fu.Report:
     rep = fu.orthogonality_check(ctx)
     others = [fu.s_matrix_inverse_check(ctx), fu.t_unitarity_check(ctx)]
-    if k == 1:
-        others.append(fu.modular_relations_check(n))
+    if ctx.k == 1:
+        others.append(fu.modular_relations_check(ctx.n))
     for other in others:
         rep.checks += other.checks
         rep.failures.extend(other.failures)
@@ -213,7 +208,8 @@ def _suite_orthogonality(n: int, k: int) -> fu.Report:
 
 SUITES = {
     "formula-oracle": _suite_formula_oracle,
-    "symmetry": _suite_symmetry,
+    # looked up at every call, so that a rebound (say, instrumented) suite is the one run
+    "symmetry": lambda ctx: fu.symmetry_suite(ctx),
     "route-equivalence": _suite_route_equivalence,
     "coalgebra": _suite_coalgebra,
     "orthogonality": _suite_orthogonality,
@@ -221,12 +217,15 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    """Run the chosen suites on one context, so that `verify all` builds the
+    fusion array, the exponent counts and the duals once."""
     chosen = SUITES if args.suite == "all" else (args.suite,)
+    ctx = fu.FusionContext(args.n, args.k)
     reports = []
 
     def summaries():  # one line per suite as soon as it has run
         for name in chosen:
-            reports.append(SUITES[name](args.n, args.k))
+            reports.append(SUITES[name](ctx))
             yield reports[-1].summary() + "\n"
 
     _write(summaries(), None)

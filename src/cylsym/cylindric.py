@@ -11,7 +11,6 @@ and explicit CRPP enumerations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .affine import is_valid_shape, loop_value
@@ -28,13 +27,11 @@ from .partitions import (
     multiplicity,
     normalize,
     partitions_of,
-    size,
     transfer,
     transfer_expansion,
-    z_factor,
 )
 from . import symfunc
-from .symfunc import SymFunc, TensorSymFunc, antipode, coproduct, tensor
+from .symfunc import SymFunc, TensorSymFunc, antipode, coproduct, omega, power_sum_counts, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +255,18 @@ def _weight_expansion(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str) ->
     return _expansions(mu, [(lam, d)], kind)[(lam, d)]
 
 
-def _monomials(table: dict) -> SymFunc:
-    return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
-
-
 # ---------------------------------------------------------------------------
 # the cylindric complete and elementary symmetric functions
 
 
 def cyl_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
     """Cylindric complete symmetric function, expanded over monomials."""
-    return _monomials(_weight_expansion(lam, d, mu, "general"))
+    return SymFunc.make("m", _weight_expansion(lam, d, mu, "general"))
 
 
 def cyl_e(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
     """Cylindric elementary symmetric function, expanded over monomials."""
-    return _monomials(_weight_expansion(lam, d, mu, "row-strict"))
+    return SymFunc.make("m", _weight_expansion(lam, d, mu, "row-strict"))
 
 
 def cyl_h_in_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
@@ -283,12 +276,8 @@ def cyl_h_in_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
     deg = lam.size - mu.size + n * d
     if d < 0 or deg < 0:
         return SymFunc.make("h", {})
-    out = {}
-    for nu in partitions_of(deg, max_len=k):
-        c = fusion_count(lam.parts, mu.parts, nu, n, k)
-        if c:
-            out[nu] = Fraction(c)
-    return SymFunc.make("h", out)
+    nus = partitions_of(deg, max_len=k)
+    return SymFunc.make("h", {nu: fusion_count(lam.parts, mu.parts, nu, n, k) for nu in nus})
 
 
 def cyl_e_in_e(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
@@ -297,17 +286,11 @@ def cyl_e_in_e(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
 
 
 def cyl_p_expand(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str = "h") -> SymFunc:
-    """Power-sum expansion via adjacent-column plane partitions."""
+    """Power-sum expansion via adjacent-column plane partitions; omega gives e."""
     if kind not in ("h", "e"):
         raise ValueError(kind)
-    table = _weight_expansion(lam, d, mu, "adjacent-column")
-    out = {}
-    for nu, c in table.items():
-        coef = Fraction(c, z_factor(nu))
-        if kind == "e" and (size(nu) - len(nu)) % 2:
-            coef = -coef
-        out[nu] = coef
-    return SymFunc.make("p", out)
+    f = power_sum_counts(_weight_expansion(lam, d, mu, "adjacent-column"))
+    return omega(f) if kind == "e" else f
 
 
 def nonskew_cyl_h(lam: AlcoveWeight, d: int) -> SymFunc:
@@ -324,7 +307,7 @@ def nonskew_cyl_h(lam: AlcoveWeight, d: int) -> SymFunc:
     for nu in partitions_of(target, max_len=k):
         rep, ratio = _orbit_ratio(tuple(nu) + (0,) * (k - len(nu)), n, k)
         if rep == lam:
-            out[nu] = Fraction(ratio)
+            out[nu] = ratio
     return SymFunc.make("h", out)
 
 
@@ -522,7 +505,7 @@ def coproduct_holds(lam: AlcoveWeight, d: int, right: dict, left) -> bool:
     with right the expansions {(nu, d2): f_{nu/d2/mu}} of one walk out of mu
     for every alcove point nu and d2 <= d, and left(d1, nu) = f_{lam/d1/nu},
     asked for only where the right factor is nonzero."""
-    lhs = coproduct(_monomials(right[(lam, d)]), bases=("m", "m"))
+    lhs = coproduct(SymFunc.make("m", right[(lam, d)]), bases=("m", "m"))
     rhs: dict = {}
     for d1 in range(0, d + 1):
         for nu in enumerate_alcove(lam.n, lam.k):
@@ -530,8 +513,8 @@ def coproduct_holds(lam: AlcoveWeight, d: int, right: dict, left) -> bool:
             left_factor = left(d1, nu) if factor else {}
             if not left_factor:
                 continue
-            for key, c in tensor(_monomials(left_factor), _monomials(factor)).coeffs:
-                rhs[key] = rhs.get(key, Fraction(0)) + c
+            for key, c in tensor(SymFunc.make("m", left_factor), SymFunc.make("m", factor)).coeffs:
+                rhs[key] = rhs.get(key, 0) + c
     return lhs == TensorSymFunc.make(("m", "m"), rhs)
 
 

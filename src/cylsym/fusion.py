@@ -335,7 +335,8 @@ def _render(table: CoeffTable, fmt: str):
     """Yield a table in key order, one chunk per row: "json" the bytes of
     json.dumps(payload, indent=0, sort_keys=True) with d = -1 as null, "csv"
     those of csv.writer without zero rows, "text" columns padded in a first pass."""
-    items = sorted(table.entries.items())
+    keys = sorted(table.entries)
+    items = zip(keys, map(table.entries.__getitem__, keys))  # no second copy of the rows
     cell = {p: format_partition(p) for p in {p for key in table.entries for p in key[:3]}}
     if fmt == "json":
         cell = {p: "[\n" + s.replace(",", ",\n") + "\n]" if p else "[]" for p, s in cell.items()}
@@ -346,7 +347,7 @@ def _render(table: CoeffTable, fmt: str):
             yield (",\n" if i else '{\n"entries": [\n') + row
         meta = json.dumps(table.metadata, indent=0, sort_keys=True) if table.metadata else ""
         tail = f',\n"k": {table.k}' + (f',\n"metadata": {meta}' if meta else "")
-        yield ("\n]" if items else '{\n"entries": []') + tail + f',\n"n": {table.n}\n}}'
+        yield ("\n]" if keys else '{\n"entries": []') + tail + f',\n"n": {table.n}\n}}'
     elif fmt == "csv":
         cell = {p: f'"{s}"' if "," in s else s for p, s in cell.items()}
         yield "lambda,mu,nu,d,value\r\n"

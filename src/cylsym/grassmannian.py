@@ -31,13 +31,11 @@ from .partitions import (
     length,
     normalize,
     partitions_of,
-    size,
     staircase,
     transfer,
     transfer_expansion,
-    z_factor,
 )
-from .symfunc import SymFunc, hall_inner, multiply, sym
+from .symfunc import SymFunc, hall_inner, multiply, omega, power_sum_counts, sym
 
 
 class GrassContext:
@@ -358,26 +356,19 @@ def cyl_schur(ctx: GrassContext, lam, d: int, mu) -> SymFunc:
     """Cylindric Schur function via column-strict fillings, in the monomial basis."""
     lam, mu = _as_boxed(ctx, lam), _as_boxed(ctx, mu)
     table = _kostka_expansion(ctx, lam, d, mu, row_strict=False)
-    return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
+    return SymFunc.make("m", table)
 
 
 def cyl_schur_p(ctx: GrassContext, lam, d: int, mu) -> SymFunc:
     """The same function by the ribbon route, in the power-sum basis.
 
-    The signed ribbon counts are taken in the conjugate context; the epsilon
-    twist turns them into the expansion of the untransposed function.
+    The signed ribbon counts are taken in the conjugate context; omega turns
+    them into the expansion of the untransposed function.
     """
     lam, mu = _as_boxed(ctx, lam), _as_boxed(ctx, mu)
     other = ctx.conjugate_context()
     table = _chi_expansion(other, lam.conjugate_boxed(), d, mu.conjugate_boxed())
-    out = {}
-    for nu, c in table.items():
-        coef = Fraction(c, z_factor(nu))
-        if (size(nu) - length(nu)) % 2:
-            coef = -coef
-        if coef:
-            out[nu] = coef
-    return SymFunc.make("p", out)
+    return omega(power_sum_counts(table))
 
 
 def cyl_schur_to_schur(ctx: GrassContext, lam, d: int, mu) -> SymFunc:
@@ -398,7 +389,7 @@ def cyl_schur_to_schur(ctx: GrassContext, lam, d: int, mu) -> SymFunc:
         core, weight, sign = term
         c = gw_ribbon(other, mu_c, core, lam_c, d - weight)
         if c:
-            out[conjugate(nu)] = Fraction(sign * c)
+            out[conjugate(nu)] = sign * c
     return SymFunc.make("s", out)
 
 
@@ -407,7 +398,7 @@ def nonskew_cyl_schur(ctx: GrassContext, lam, d: int) -> SymFunc:
     kc = ctx.n - ctx.k
     out = {}
     for nu in core_fiber(ctx, lam, d):
-        out[conjugate(nu)] = Fraction(shifted_reduce(_pad(nu, kc), ctx.n, kc)[2])
+        out[conjugate(nu)] = shifted_reduce(_pad(nu, kc), ctx.n, kc)[2]
     return SymFunc.make("s", out)
 
 

@@ -58,9 +58,10 @@ class SymFunc:
             raise ValueError(f"unknown basis {self.basis!r}")
 
     @staticmethod
-    def make(basis: str, coeffs: Coeffs) -> "SymFunc":
-        items = tuple(sorted(_clean(coeffs).items()))
-        return SymFunc(basis, items)
+    def make(basis: str, coeffs: dict) -> "SymFunc":
+        """From {partition: integer or Fraction}; zeros are dropped and every
+        coefficient is stored as a Fraction."""
+        return SymFunc(basis, tuple(sorted((lam, Fraction(c)) for lam, c in coeffs.items() if c)))
 
     def dict(self) -> Coeffs:
         return dict(self.coeffs)
@@ -141,17 +142,15 @@ def sym(basis: str, lam) -> SymFunc:
 # expansions of single basis elements into power sums
 
 
+def power_sum_counts(counts: dict) -> SymFunc:
+    """sum_nu c_nu p_nu / z_nu from the integer counts {nu: c_nu}; h_r is the
+    sum with every c_nu = 1 and a Schur function the one with c_nu = chi(nu)."""
+    return SymFunc.make("p", {nu: Fraction(c, z_factor(nu)) for nu, c in counts.items()})
+
+
 @lru_cache(maxsize=None)
 def _h_to_p(r: int) -> tuple:
-    """h_r = sum over rho |- r of p_rho / z_rho."""
-    return tuple((rho, Fraction(1, z_factor(rho))) for rho in partitions_of(r))
-
-
-@lru_cache(maxsize=None)
-def _e_to_p(r: int) -> tuple:
-    return tuple(
-        (rho, Fraction(_eps(rho), z_factor(rho))) for rho in partitions_of(r)
-    )
+    return power_sum_counts(dict.fromkeys(partitions_of(r), 1)).coeffs
 
 
 def _eps(rho: Partition) -> int:
@@ -177,18 +176,15 @@ def _basis_elem_to_p(basis: str, lam: Partition) -> tuple:
     if basis == "p":
         return ((lam, Fraction(1)),)
     if basis == "s":
-        out = {}
-        for mu in partitions_of(size(lam)):
-            chi = mn_character(lam, mu)
-            if chi:
-                out[mu] = Fraction(chi, z_factor(mu))
-        return tuple(sorted(out.items()))
-    if basis in ("h", "e"):
-        table = _h_to_p if basis == "h" else _e_to_p
+        chi = {mu: mn_character(lam, mu) for mu in partitions_of(size(lam))}
+        return power_sum_counts(chi).coeffs
+    if basis == "h":
         acc: Coeffs = {(): Fraction(1)}
         for part in lam:
-            acc = _pmul(acc, dict(table(part)))
+            acc = _pmul(acc, dict(_h_to_p(part)))
         return tuple(sorted(acc.items()))
+    if basis == "e":
+        return omega(SymFunc("p", _basis_elem_to_p("h", lam))).coeffs
     if basis == "m":
         return tuple(sorted(_m_to_p_solved(size(lam))[lam].items()))
     raise ValueError(basis)
@@ -606,7 +602,7 @@ def _skew_expansion(lam, mu, step_fn) -> SymFunc:
     lam, mu = normalize(lam), normalize(mu)
     ends = {(lam, 0): size(lam) - size(mu)}
     table = transfer_expansion(mu, ends, _skew_successors(lam, step_fn))[(lam, 0)]
-    return SymFunc.make("m", {nu: Fraction(c) for nu, c in table.items()})
+    return SymFunc.make("m", table)
 
 
 def _contains(outer: Partition, inner: Partition) -> bool:

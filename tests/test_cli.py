@@ -124,6 +124,39 @@ def test_verify_all_passes(capsys):
     assert "ok" in out and "FAILED" not in out
 
 
+VERIFY_ALL_SUMMARIES = {
+    (4, 3): (
+        "formula vs oracle (n=4, k=3): 4800 checks, ok\n"
+        "fusion symmetries (n=4, k=3): 193200 checks, ok\n"
+        "fusion route equivalence (n=4, k=3): 8016 checks, ok\n"
+        "coalgebra (n=4, k=3): 1209 checks, ok\n"
+        "monomial orthogonality (n=4, k=3): 820 checks, ok\n"
+    ),
+    (5, 2): (
+        "formula vs oracle (n=5, k=2): 2700 checks, ok\n"
+        "fusion symmetries (n=5, k=2): 64800 checks, ok\n"
+        "fusion route equivalence (n=5, k=2): 3563 checks, ok\n"
+        "coalgebra (n=5, k=2): 559 checks, ok\n"
+        "monomial orthogonality (n=5, k=2): 465 checks, ok\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(VERIFY_ALL_SUMMARIES))
+def test_verify_all_runs_every_suite_on_one_context(capsys, monkeypatch, n, k):
+    built = []
+    init = fusion.FusionContext.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fusion.FusionContext, "__init__", counted)
+    code, out, _ = run(capsys, "verify", "all", "--n", str(n), "--k", str(k))
+    assert (code, out) == (0, VERIFY_ALL_SUMMARIES[(n, k)])
+    assert built == [(n, k)]
+
+
 def test_verify_symmetry_summary_line(capsys):
     code, out, _ = run(capsys, "verify", "symmetry", "--n", "5", "--k", "2")
     assert code == 0
@@ -281,7 +314,7 @@ def test_coalgebra_packing_tells_a_carry_shaped_corruption(monkeypatch):
     monkeypatch.setattr(cli, "_expansions", corrupted)
     expected = per_pair_antipode_failures(n, k)
     assert expected == [f"antipode at {lam1.parts}/1/{mu.parts}", f"antipode at {lam2.parts}/1/{mu.parts}"]
-    rep = cli._suite_coalgebra(n, k)
+    rep = cli._suite_coalgebra(fusion.FusionContext(n, k))
     assert rep.failures == expected and rep.checks == 90
 
 
@@ -294,7 +327,7 @@ def test_coalgebra_packing_bounds_a_large_negative_antipode_coefficient(monkeypa
 
     monkeypatch.setattr(symfunc, "_m_antipode_row", spiked)
     expected = per_pair_antipode_failures(3, 2)
-    rep = cli._suite_coalgebra(3, 2)
+    rep = cli._suite_coalgebra(fusion.FusionContext(3, 2))
     assert expected and rep.failures == expected and rep.checks == 90
 
 
@@ -487,3 +520,44 @@ def test_every_module_is_traced_by_the_benchmark():
     ]
     modules = {m.name for m in pkgutil.iter_modules(cylsym.__path__)}
     assert modules and modules <= set(listed)
+
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def test_trace_mode_finds_every_key_it_reads():
+    """The benchmark's `--trace 1` indexes some memos and spans of the tracer
+    directly, so a dropped memo or a context turned into a dataclass would end
+    it in a KeyError.  Read those keys from `layer_metrics`, install the tracer
+    in a fresh interpreter and look each one up; the symmetry suite must also
+    open its own span under `verify symmetry`."""
+    tree = ast.parse(RUN.read_text())
+    (body,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "layer_metrics"]
+    wanted = {"caches": set(), "stats": set()}
+    for node in ast.walk(body):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            if isinstance(node.value, ast.Name) and node.value.id in wanted:
+                wanted[node.value.id].add(node.slice.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hit_ratio":
+            wanted["caches"].add(ast.literal_eval(node.args[0]))
+    assert len(wanted["caches"]) >= 4 and len(wanted["stats"]) >= 2
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import cylsym, tracer\n"
+        "from cylsym import cli\n"
+        "t = tracer.Tracer()\n"
+        "t.install(cylsym)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['verify', 'symmetry', '--n', '2', '--k', '2'])\n"
+        "calls = t.stats['fusion.symmetry_suite'][0]\n"
+        "print(json.dumps({'caches': sorted(t.caches), 'stats': sorted(t.stats), 'calls': calls}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(RUN.parent)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert wanted["caches"] <= set(found["caches"]) and wanted["stats"] <= set(found["stats"])
+    assert found["calls"] == 1

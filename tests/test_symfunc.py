@@ -31,6 +31,7 @@ from cylsym.symfunc import (
     psi_flat,
     psi_weight_flat,
     schur_straighten,
+    power_sum_counts,
     sign_character,
     skew_e,
     skew_h,
@@ -50,6 +51,22 @@ def test_conversion_anchors():
     assert convert(sym("h", (1,)), "m") == sym("m", (1,))
     assert convert(sym("h", (2,)), "m").dict() == {(2,): 1, (1, 1): 1}
     assert convert(sym("e", (2,)), "m").dict() == {(1, 1): 1}
+
+
+def test_make_stores_fractions_from_integer_counts():
+    f = SymFunc.make("m", {(2, 1): 3, (1, 1, 1): 0})
+    assert f.coeffs == (((2, 1), Fraction(3)),) and type(f.coeffs[0][1]) is Fraction
+    assert f == SymFunc.make("m", {(2, 1): Fraction(3)})
+    assert f.to_json() == SymFunc.make("m", {(2, 1): Fraction(3)}).to_json()
+
+
+def test_power_sum_counts_gives_h_s_and_with_omega_e():
+    for r in range(1, 6):
+        ones = power_sum_counts(dict.fromkeys(partitions_of(r), 1))
+        assert ones == sym("h", (r,)) and omega(ones) == sym("e", (r,))
+    for lam in [(3, 1), (2, 2), (2, 1, 1)]:
+        chi = {mu: mn_character(lam, mu) for mu in partitions_of(4)}
+        assert power_sum_counts(chi) == sym("s", lam)
 
 
 def test_conversion_roundtrips():
