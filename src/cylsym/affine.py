@@ -236,7 +236,7 @@ def shifted_act(bar: BoxedPartition, w: ExtAffinePerm) -> Weight:
 @lru_cache(maxsize=None)
 def _bead_reduce(residues: Weight, n: int) -> tuple[BoxedPartition, int]:
     """(nu, parity of the sort) for distinct residues in [1, n]: at most
-    n!/(n-k)! of them per (n, k)."""
+    n!/(n-k)! of them per (n, k), sharing the one nu of each strict weight."""
     lam, _ = reduce_to_alcove(residues, n, len(residues))
     inversions = sum(a < b for i, a in enumerate(residues) for b in residues[i + 1 :])
     return boxed_from_strict(lam), inversions % 2

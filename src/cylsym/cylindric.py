@@ -10,6 +10,7 @@ and explicit CRPP enumerations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ from .partitions import (
     transfer_expansion,
 )
 from . import symfunc
-from .symfunc import SymFunc, TensorSymFunc, antipode, coproduct, omega, power_sum_counts, tensor
+from .symfunc import SymFunc, antipode, omega, power_sum_counts
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +282,7 @@ def cyl_h_in_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
 
 
 def cyl_e_in_e(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
-    f = cyl_h_in_h(lam, d, mu)
-    return SymFunc.make("e", dict(f.coeffs))
+    return SymFunc.make("e", dict(cyl_h_in_h(lam, d, mu).coeffs))
 
 
 def cyl_p_expand(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str = "h") -> SymFunc:
@@ -329,16 +329,22 @@ def nonskew_from_array(ctx: FusionContext, lam: AlcoveWeight, d: int, mu: Alcove
 def _nonskew_terms(lam: AlcoveWeight, d: int, mu: AlcoveWeight, coefficient) -> dict:
     """{(sigma, k + d - d'): coefficient(s, sigma)} over the alcove points
     sigma = A_s with |mu| + |sigma| - |lam| = n d' for 0 <= d' <= d + k,
-    nonzero values only."""
+    nonzero values only, scanning the class |sigma| = |lam| - |mu| mod n."""
     n, k = lam.n, lam.k
     out = {}
-    for s, sigma in enumerate(enumerate_alcove(n, k)):
-        d_prime, rem = divmod(sigma.size - lam.size + mu.size, n)
-        if rem == 0 and 0 <= d_prime <= d + k:
-            c = coefficient(s, sigma)
-            if c:
-                out[(sigma, k + d - d_prime)] = c
+    for s, sigma, size in _alcove_classes(n, k)[(lam.size - mu.size) % n]:
+        d_prime = (size - lam.size + mu.size) // n
+        c = coefficient(s, sigma) if 0 <= d_prime <= d + k else 0
+        if c:
+            out[(sigma, k + d - d_prime)] = c
     return out
+
+
+@lru_cache(maxsize=None)
+def _alcove_classes(n: int, k: int) -> tuple:
+    """The (s, A_s, |A_s|) of the alcove in its order, split by |A_s| mod n."""
+    A = enumerate_alcove(n, k)
+    return tuple([(s, a, a.size) for s, a in enumerate(A) if a.size % n == r] for r in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +510,19 @@ def coproduct_holds(lam: AlcoveWeight, d: int, right: dict, left) -> bool:
     """Delta(f_{lam/d/mu}) = sum over d1+d2=d, nu of f_{lam/d1/nu} (x) f_{nu/d2/mu},
     with right the expansions {(nu, d2): f_{nu/d2/mu}} of one walk out of mu
     for every alcove point nu and d2 <= d, and left(d1, nu) = f_{lam/d1/nu},
-    asked for only where the right factor is nonzero."""
-    lhs = coproduct(SymFunc.make("m", right[(lam, d)]), bases=("m", "m"))
-    rhs: dict = {}
+    asked for only where the right factor is nonzero.  Both sides are integer
+    tables {(a, b): coefficient of m_a (x) m_b}, Delta(m_rho) each split once."""
+    lhs, rhs = Counter(), Counter()  # equal when they differ only in zeros
+    for rho, c in right[(lam, d)].items():
+        for a, b, _ in symfunc._p_splits(rho):
+            lhs[(a, b)] += c
     for d1 in range(0, d + 1):
         for nu in enumerate_alcove(lam.n, lam.k):
             factor = right[(nu, d - d1)]
-            left_factor = left(d1, nu) if factor else {}
-            if not left_factor:
-                continue
-            for key, c in tensor(SymFunc.make("m", left_factor), SymFunc.make("m", factor)).coeffs:
-                rhs[key] = rhs.get(key, 0) + c
-    return lhs == TensorSymFunc.make(("m", "m"), rhs)
+            for a, ca in (left(d1, nu) if factor else {}).items():
+                for b, cb in factor.items():
+                    rhs[(a, b)] += ca * cb
+    return lhs == rhs
 
 
 def antipode_check(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> bool:

@@ -431,6 +431,7 @@ def staircase(k: int) -> Partition:
     return tuple(range(k, 0, -1))
 
 
+@lru_cache(maxsize=None)
 def boxed_from_strict(lam: AlcoveWeight) -> BoxedPartition:
     if not lam.is_strict():
         raise ValueError(f"{lam.parts} is not strict")

@@ -31,7 +31,6 @@ from .partitions import (
     partition_from_betas,
     partitions_of,
     size,
-    stab_order,
     transfer,
     transfer_expansion,
     z_factor,
@@ -153,19 +152,11 @@ def _h_to_p(r: int) -> tuple:
     return power_sum_counts(dict.fromkeys(partitions_of(r), 1)).coeffs
 
 
-def _eps(rho: Partition) -> int:
-    return -1 if (size(rho) - length(rho)) % 2 else 1
-
-
-def _p_concat(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
-
-
 def _pmul(f: Coeffs, g: Coeffs) -> Coeffs:
     out: Coeffs = {}
     for lam, c in f.items():
         for mu, d in g.items():
-            key = _p_concat(lam, mu)
+            key = tuple(sorted(lam + mu, reverse=True))
             out[key] = out.get(key, Fraction(0)) + c * d
     return _clean(out)
 
@@ -197,12 +188,10 @@ def _m_to_p_solved(deg: int) -> dict[Partition, Coeffs]:
     Back substitution: p_rho = sum_mu R[rho][mu] m_mu with R triangular wrt the
     order and a nonzero diagonal, so m_lam = (p_lam - sum_{mu > lam} ...) / R[lam][lam].
     """
-    order = _dominance_order(deg)
-    rows = {rho: p_to_m_row(rho) for rho in order}
     solved: dict[Partition, Coeffs] = {}
-    # order is sorted so that dominance-larger partitions come first
-    for lam in order:
-        row = rows[lam]
+    # lex-descending refines dominance, so dominance-larger partitions come first
+    for lam in sorted(partitions_of(deg), reverse=True):
+        row = p_to_m_row(lam)
         expr: Coeffs = {lam: Fraction(1)}
         for mu, coef in row.items():
             if mu == lam:
@@ -212,12 +201,6 @@ def _m_to_p_solved(deg: int) -> dict[Partition, Coeffs]:
         diag = row[lam]
         solved[lam] = _clean({rho: c / diag for rho, c in expr.items()})
     return solved
-
-
-@lru_cache(maxsize=None)
-def _dominance_order(deg: int) -> tuple[Partition, ...]:
-    """Partitions of deg, dominance-compatible: lex-descending refines dominance."""
-    return tuple(sorted(partitions_of(deg), reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -328,7 +311,7 @@ def omega(f: SymFunc) -> SymFunc:
     """
     if f.basis == "m":
         return _m_antipode(f, by_degree=True)
-    out = {rho: c * _eps(rho) for rho, c in to_p(f).coeffs}
+    out = {rho: c * sign_character(rho) for rho, c in to_p(f).coeffs}
     return convert(SymFunc.make("p", out), f.basis)
 
 
@@ -364,6 +347,7 @@ def _m_antipode(f: SymFunc, by_degree: bool) -> SymFunc:
     return SymFunc.make("m", {mu: Fraction(v, den) for mu, v in acc.items() if v})
 
 
+@lru_cache(maxsize=None)
 def _m_antipode_row(lam: Partition) -> tuple:
     """The (mu, c_{lam mu}) of S(m_lam) = (-1)^length(lam) sum_mu c_{lam mu} m_mu.
 
@@ -372,28 +356,37 @@ def _m_antipode_row(lam: Partition) -> tuple:
     quasisymmetric antipode S(M_alpha) = (-1)^length(alpha) sum M_beta over
     the compositions beta coarser than alpha reversed (Malvenuto-Reutenauer,
     J. Algebra 177, 1995; Ehrenborg, Adv. Math. 119, 1996), summed over the
-    arrangements alpha of lam.  The row is memoised as the unbounded state of
-    `_block_splits`.
+    arrangements alpha of lam.  The row recurses on its last block B, of least
+    sum: each non-empty sub-multiset B, in its length(B)!/prod t_v! orders,
+    extends every rho of the row of lam minus B with last part at least |B|.
+    Rows list mu by decreasing last part, so each scan stops at the first rho
+    too small; the recursion reads the memo as `_rows`, out of reach of a
+    rebound `_m_antipode_row`, and each mu is the one tuple of `_ROW_KEYS`.
     """
-    return _block_splits(lam, size(lam))
-
-
-@lru_cache(maxsize=None)
-def _block_splits(lam: Partition, bound: int) -> tuple:
-    """Arrangements of lam cut into consecutive blocks with weakly decreasing
-    sums, the first at most bound, as (partition of block sums, count) pairs."""
     if not lam:
         return (((), 1),)
+    blocks = [(0, 0, 1, ())]  # (|B|, length(B), prod of t_v!, lam minus B) per B
+    for v in sorted(set(lam), reverse=True):
+        m = multiplicity(lam, v)
+        blocks = [
+            (s + v * t, ell + t, den * factorial(t), rest + (v,) * (m - t))
+            for s, ell, den, rest in blocks
+            for t in range(m + 1)
+        ]
+    blocks.sort(reverse=True)  # by decreasing |B|: the empty block comes last
     out: dict[Partition, int] = {}
-    for block, rest, _ in _p_splits(lam):
-        s = size(block)
-        if not block or s > bound:
-            continue
-        arrangements = factorial(len(block)) // stab_order(block)
-        for nu, c in _block_splits(rest, min(s, size(rest))):
-            key = (s,) + nu
-            out[key] = out.get(key, 0) + arrangements * c
-    return tuple(out.items())
+    for s, ell, den, rest in blocks[:-1]:
+        orders = factorial(ell) // den
+        for rho, c in _rows(rest):
+            if rho and rho[-1] < s:
+                break
+            mu = rho + (s,)
+            out[mu] = out.get(mu, 0) + orders * c
+    return tuple((_ROW_KEYS.setdefault(mu, mu), c) for mu, c in out.items())
+
+
+_rows = _m_antipode_row
+_ROW_KEYS: dict[Partition, Partition] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +489,7 @@ def coproduct(f: SymFunc, bases=("p", "p")) -> TensorSymFunc:
         return TensorSymFunc.make(("m", "m"), out)
     for rho, c in to_p(f).coeffs:
         for left, right, mult in _p_splits(rho):
-            key = (left, right)
-            out[key] = out.get(key, Fraction(0)) + c * mult
+            out[(left, right)] = out.get((left, right), Fraction(0)) + c * mult
     return TensorSymFunc.make(("p", "p"), out).to(bases)
 
 
@@ -525,7 +517,7 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 
 
 def sign_character(mu: Partition) -> int:
-    return _eps(mu)
+    return -1 if (size(mu) - length(mu)) % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,19 @@ def test_verify_coalgebra_summary_line(capsys):
     assert out == "coalgebra (n=4, k=3): 1209 checks, ok\n"
 
 
+def test_verify_coalgebra_summary_lines_at_the_edges(capsys):
+    # n = 1 and k > n leave one or few alcove points; (5, 3) is one size up from (4, 3)
+    expected = {
+        (1, 1): "coalgebra (n=1, k=1): 3 checks, ok\n",
+        (1, 3): "coalgebra (n=1, k=3): 3 checks, ok\n",
+        (2, 3): "coalgebra (n=2, k=3): 45 checks, ok\n",
+        (2, 5): "coalgebra (n=2, k=5): 101 checks, ok\n",
+        (5, 3): "coalgebra (n=5, k=3): 4109 checks, ok\n",
+    }
+    for (n, k), line in expected.items():
+        assert run(capsys, "verify", "coalgebra", "--n", str(n), "--k", str(k)) == (0, line, ""), (n, k)
+
+
 def test_verify_coalgebra_detects_a_wrong_antipode_row(capsys, monkeypatch):
     row = symfunc._m_antipode_row
 

@@ -14,6 +14,7 @@ from cylsym.cylindric import (
     _expansions,
     antipode_check,
     coproduct_cyl_check,
+    coproduct_holds,
     cyl_e,
     cyl_e_in_e,
     cyl_h,
@@ -306,6 +307,21 @@ def test_coproduct_identity():
             assert coproduct_cyl_check(lam, 0, mu)
             assert coproduct_cyl_check(lam, 1, mu)
     assert coproduct_cyl_check(A[0], 1, A[0], kind="e")
+
+
+def test_coproduct_fails_on_a_right_factor_off_by_one():
+    n, k = 3, 2
+    A = enumerate_alcove(n, k)
+    lam, mu = A[-1], A[0]
+    right = _expansions(mu, [(nu, d2) for d2 in (0, 1) for nu in A], "general")
+    left = lambda d1, nu: _expansions(nu, [(lam, d1)], "general")[(lam, d1)]
+    assert coproduct_holds(lam, 1, right, left)
+    # one m-term of the right factor at (nu, 0), nu != lam, whose left factor is nonzero
+    nu = next(nu for nu in A if nu != lam and right[(nu, 0)] and left(1, nu))
+    rho = next(iter(right[(nu, 0)]))
+    corrupted = dict(right)
+    corrupted[(nu, 0)] = {**right[(nu, 0)], rho: right[(nu, 0)][rho] + 1}
+    assert not coproduct_holds(lam, 1, corrupted, left)
 
 
 def test_nonskew_vanishing_and_integrality():

@@ -112,12 +112,14 @@ def test_fusion_array_equals_the_per_triple_count_sampled(n, k):
     assert any(values)
 
 
-@pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 3)])
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 3), (3, 2), (4, 3), (5, 3)])
 def test_nonskew_rows_from_the_array_equal_the_per_pair_count(n, k):
+    # n = 1 puts every alcove point in one residue class
     ctx = FusionContext(n, k)
     for lam in ctx.alcove:
         for mu in ctx.alcove:
-            assert nonskew_from_array(ctx, lam, 1, mu) == cyl_in_nonskew(lam, 1, mu), (lam, mu)
+            for d in (0, 1, 2):
+                assert nonskew_from_array(ctx, lam, d, mu) == cyl_in_nonskew(lam, d, mu), (lam, d, mu)
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])

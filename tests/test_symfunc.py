@@ -622,3 +622,19 @@ def test_monomial_antipode_matches_power_sum_route(coeffs):
     f = SymFunc.make("m", coeffs)
     assert antipode(f).coeffs == antipode(f.to("p")).to("m").coeffs
     assert omega(f).coeffs == omega(f.to("p")).to("m").coeffs
+
+
+def test_every_antipode_row_to_degree_10_matches_the_power_sum_route():
+    for lam in PARTITIONS_TO_10:
+        sign = -1 if len(lam) % 2 else 1
+        row = SymFunc.make("m", {mu: sign * c for mu, c in symfunc._m_antipode_row(lam)})
+        assert row == antipode(sym("m", lam).to("p")).to("m"), lam
+
+
+def test_antipode_rows_share_one_tuple_per_partition():
+    # S(m_31) and S(m_211) both reach m_4 and m_31
+    left, right = dict(symfunc._m_antipode_row((3, 1))), symfunc._m_antipode_row((2, 1, 1))
+    shared = [mu for mu, _ in right if mu in left]
+    assert {(4,), (3, 1)} <= set(shared)
+    keys = {mu: mu for mu in left}
+    assert all(keys[mu] is mu for mu in shared)
