@@ -63,10 +63,6 @@ class ExtAffinePerm:
         return ExtAffinePerm(tuple(window))
 
 
-def identity_perm(k: int) -> ExtAffinePerm:
-    return ExtAffinePerm(tuple(range(1, k + 1)))
-
-
 def tau_power(k: int, d: int) -> ExtAffinePerm:
     """Shift m -> m - d."""
     return ExtAffinePerm(tuple(i - d for i in range(1, k + 1)))

@@ -66,14 +66,10 @@ def theta_cyl(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
     return _theta_cyl(lam.parts, d, mu.parts, lam.n)
 
 
-def theta_cyl_oracle(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
-    """Brute count of pairs (w, beta): mu.w <= lam + n*beta, beta >= 0, |beta| = d."""
-    lam.same_context(mu)
-    return oracle_rows(lam, mu, d)[0][d] if d >= 0 else 0
-
-
 def oracle_rows(lam: AlcoveWeight, mu: AlcoveWeight, dmax: int) -> tuple[list[int], list[int]]:
-    """The brute counts of `theta_cyl_oracle` and `psi_cyl_oracle` for d = 0..dmax.
+    """Brute counts for d = 0..dmax, oracles of `theta_cyl` and `psi_cyl`: the
+    pairs (w, beta) with mu.w <= lam + n*beta, beta >= 0, |beta| = d, and the
+    (w, alpha) with lam - mu.w + n*alpha having all entries 0 or 1.
 
     For a rearrangement alpha of mu both conditions split by coordinate:
     alpha_i <= lam_i + n b_i is b_i >= ceil((alpha_i - lam_i)/n), and
@@ -131,12 +127,6 @@ def psi_cyl(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
     if d < 0:
         return 0
     return _psi_cyl(lam.parts, d, mu.parts, lam.n)
-
-
-def psi_cyl_oracle(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> int:
-    """Brute count of (w, alpha) with lam - mu.w + n*alpha having all entries 0 or 1."""
-    lam.same_context(mu)
-    return oracle_rows(lam, mu, d)[1][d] if d >= 0 else 0
 
 
 @lru_cache(maxsize=None)
@@ -236,14 +226,6 @@ def theta_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
     return _weight(lam, d, mu, nu, "general")
 
 
-def psi_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
-    return _weight(lam, d, mu, nu, "row-strict")
-
-
-def phi_weight(lam: AlcoveWeight, d: int, mu: AlcoveWeight, nu) -> int:
-    return _weight(lam, d, mu, nu, "adjacent-column")
-
-
 def _expansions(mu: AlcoveWeight, ends, kind: str) -> dict:
     """{(lam, d): {partition nu: weighted CRPP count of shape lam/d/mu}} for
     every end (lam, d), all read from one walk out of mu."""
@@ -281,10 +263,6 @@ def cyl_h_in_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
     return SymFunc.make("h", {nu: fusion_count(lam.parts, mu.parts, nu, n, k) for nu in nus})
 
 
-def cyl_e_in_e(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
-    return SymFunc.make("e", dict(cyl_h_in_h(lam, d, mu).coeffs))
-
-
 def cyl_p_expand(lam: AlcoveWeight, d: int, mu: AlcoveWeight, kind: str = "h") -> SymFunc:
     """Power-sum expansion via adjacent-column plane partitions; omega gives e."""
     if kind not in ("h", "e"):
@@ -311,16 +289,10 @@ def nonskew_cyl_h(lam: AlcoveWeight, d: int) -> SymFunc:
     return SymFunc.make("h", out)
 
 
-def cyl_in_nonskew(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> dict:
-    """Coefficients {(sigma, e): N} with h_{lam/d/mu} = sum N * h_{sigma/e/n^k}."""
-    lam.same_context(mu)
-    n, k = lam.n, lam.k
-    return _nonskew_terms(lam, d, mu, lambda s, sigma: fusion_count(lam.parts, mu.parts, sigma.parts, n, k))
-
-
 def nonskew_from_array(ctx: FusionContext, lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> dict:
-    """`cyl_in_nonskew(lam, d, mu)` with N_{mu sigma}^lam read from the fusion
-    array of ctx, the context of lam and mu."""
+    """Coefficients {(sigma, e): N} with h_{lam/d/mu} = sum N * h_{sigma/e/n^k},
+    N = N_{mu sigma}^lam read from the fusion array of ctx, the context of lam
+    and mu."""
     ctx._check(lam, mu)
     plane, i = ctx.fusion[ctx.index[mu.parts]], ctx.index[lam.parts]
     return _nonskew_terms(lam, d, mu, lambda s, sigma: plane[s][i])
@@ -394,16 +366,12 @@ class Crpp:
             for (w1, e1), (w2, e2) in zip(self.loops, self.loops[1:])
         )
 
-    def theta_value(self) -> int:
+    def value(self) -> int:
+        """Product of the one-step weights of the kind over the layers."""
+        step = _step(self.kind)
         out = 1
         for (w1, e1), (w2, e2) in zip(self.loops, self.loops[1:]):
-            out *= theta_cyl(w2, e2 - e1, w1)
-        return out
-
-    def psi_value(self) -> int:
-        out = 1
-        for (w1, e1), (w2, e2) in zip(self.loops, self.loops[1:]):
-            out *= psi_cyl(w2, e2 - e1, w1)
+            out *= step(w2, e2 - e1, w1)
         return out
 
     def vee(self) -> "Crpp":

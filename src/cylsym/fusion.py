@@ -1,5 +1,5 @@
-"""Fusion coefficients by three independent routes, modular matrices and the
-Frobenius identity suite.
+"""Fusion coefficients by three independent routes and the checks of the
+modular S- and T-matrices.
 
 The three routes: counting pairs of rearrangements (the defining cardinality),
 the root-of-unity orthogonality sum (Verlinde), and reduction of out-of-alcove
@@ -19,12 +19,11 @@ from functools import cached_property, lru_cache
 from math import factorial
 from operator import add, mul
 
-from .cyclotomic import CycloNum, NonIntegralError, eval_msym, msym_exponents, sqrt_int, zeta_pow
+from .cyclotomic import CycloNum, NonIntegralError, msym_exponents, sqrt_int, zeta_pow
 from .cyclotomic import _reduce_mod_phi, _root_sum
 from .partitions import (
     AlcoveWeight,
     Partition,
-    Weight,
     _orbit_ratio,
     distinct_permutations,
     enumerate_alcove,
@@ -468,20 +467,6 @@ def orthogonality_check(ctx: FusionContext) -> Report:
     return rep
 
 
-def s_matrix(ctx: FusionContext):
-    """Scaled modular S-matrix entries m_lam(zeta^mu); the sqrt(n^k) factor is omitted.
-
-    Returns (matrix, metadata); matrix[i][j] corresponds to (alcove[i], alcove[j]).
-    """
-    n = ctx.n
-    mat = [
-        [CycloNum._of(n, _reduce_mod_phi(e, n)) for e in ctx.msym_counts[lam.parts]]
-        for lam in ctx.alcove
-    ]
-    meta = {"scaling": f"entries are sqrt(n^k) * S, n^k = {ctx.n ** ctx.k}"}
-    return mat, meta
-
-
 def s_matrix_inverse_check(ctx: FusionContext) -> Report:
     """S * S^{-1} = id with the inverse built from the conjugate entries
     m_mu(zeta^{-nu}), read as the complex conjugates of m_mu(zeta^nu).
@@ -561,54 +546,4 @@ def modular_relations_check(n: int) -> Report:
         "(ST)^3 = C",
     )
     rep.run(equal(lambda a, c: [24 * b * (a - c) for b in idx], int.__eq__, scaled), "S S* = id")
-    return rep
-
-
-def frobenius_suite(ctx: FusionContext) -> Report:
-    """Bilinear form non-degeneracy and the quotient-ring ideal annihilation."""
-    rep = Report(f"Frobenius structure (n={ctx.n}, k={ctx.k})")
-    n, k = ctx.n, ctx.k
-    A = ctx.alcove
-    unit = ctx.unit()
-    # eta(v_lam, v_mu) proportional to N^{n^k}: a monomial pairing delta_{lam*, mu} d_lam
-    for lam in A:
-        row = [fusion_count(unit.parts, lam.parts, mu.parts, n, k) for mu in A]
-        expect = [lam.quantum_dim() if lam.star() == mu else 0 for mu in A]
-        rep.run_rows([(row, expect, "eta entry at {},{}")], lambda x: (lam.parts, A[x].parts))
-        rep.run(sum(map(bool, row)) == 1, "eta row at {} is monomial", lam.parts)
-    # the ideal generators p_{n+r} - p_r vanish at every alcove evaluation point
-    for sigma in A:
-        for r in range(0, k):
-            val = _power_sum_eval(sigma.parts, n + r, n) - _power_sum_eval(sigma.parts, r, n)
-            rep.run(val.is_zero(), "ideal generator p_{} - p_{} at {}", n + r, r, sigma.parts)
-        p_n = _power_sum_eval(sigma.parts, n, n)
-        rep.run(p_n == CycloNum.from_rational(n, k), "p_n = k at {}", sigma.parts)
-    return rep
-
-
-def _power_sum_eval(sigma: Weight, r: int, n: int) -> CycloNum:
-    total = CycloNum.zero(n)
-    for s in sigma:
-        total = total + zeta_pow(n, r * s)
-    return total
-
-
-def mfusion_pointwise_check(ctx: FusionContext, samples: int = 50, seed: int = 7) -> Report:
-    """Pointwise product expansion of monomial functions at random zeta powers."""
-    import random
-
-    rng = random.Random(seed)
-    rep = Report(f"pointwise fusion expansion (n={ctx.n}, k={ctx.k})")
-    n, k = ctx.n, ctx.k
-    pairs = [(a, b) for a in ctx.alcove for b in ctx.alcove]
-    for _ in range(samples):
-        lam, mu = rng.choice(pairs)
-        p = tuple(rng.randrange(-2 * n, 2 * n + 1) for _ in range(k))
-        lhs = eval_msym(lam.parts, p, n) * eval_msym(mu.parts, p, n)
-        rhs = CycloNum.zero(n)
-        for nu in ctx.alcove:
-            c = fusion_count(nu.parts, lam.parts, mu.parts, n, k)
-            if c:
-                rhs = rhs + eval_msym(nu.parts, p, n) * c
-        rep.run((lhs - rhs).is_zero(), "pointwise at {},{},p={}", lam.parts, mu.parts, p)
     return rep

@@ -35,7 +35,7 @@ from .partitions import (
     transfer,
     transfer_expansion,
 )
-from .symfunc import SymFunc, hall_inner, multiply, omega, power_sum_counts, sym
+from .symfunc import SymFunc, hall_inner, omega, power_sum_counts
 
 
 class GrassContext:
@@ -118,11 +118,6 @@ def gw_bvi(ctx: GrassContext, lam, mu, nu, d: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Gromov-Witten invariants: ribbon-reduction route
-
-
-def schur_product_coeff(mu: Partition, nu: Partition, sigma: Partition) -> Fraction:
-    """Littlewood-Richardson coefficient via the power-sum pivot of `multiply`."""
-    return multiply(sym("s", mu), sym("s", nu))[sigma]
 
 
 @lru_cache(maxsize=None)
@@ -390,15 +385,6 @@ def cyl_schur_to_schur(ctx: GrassContext, lam, d: int, mu) -> SymFunc:
         c = gw_ribbon(other, mu_c, core, lam_c, d - weight)
         if c:
             out[conjugate(nu)] = sign * c
-    return SymFunc.make("s", out)
-
-
-def nonskew_cyl_schur(ctx: GrassContext, lam, d: int) -> SymFunc:
-    """Signed multiplicity-free Schur expansion of s_{lam/d/empty}."""
-    kc = ctx.n - ctx.k
-    out = {}
-    for nu in core_fiber(ctx, lam, d):
-        out[conjugate(nu)] = shifted_reduce(_pad(nu, kc), ctx.n, kc)[2]
     return SymFunc.make("s", out)
 
 

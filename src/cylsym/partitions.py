@@ -321,17 +321,6 @@ def n_core(lam: Partition, n: int) -> tuple[Partition, int, int]:
     return partition_from_betas(packed), weight, (inversions + weight) % 2
 
 
-def partitions_with_core(core: Partition, n: int, weight: int, max_len: int | None = None):
-    """All partitions with the given n-core and n-weight (brute scan by size)."""
-    target = size(core) + n * weight
-    out = []
-    for lam in partitions_of(target, max_len=max_len):
-        c, w, _ = n_core(lam, n)
-        if c == normalize(core) and w == weight:
-            out.append(lam)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # alcove / boxed weights with explicit (n, k) context
 

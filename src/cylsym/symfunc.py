@@ -31,7 +31,6 @@ from .partitions import (
     partition_from_betas,
     partitions_of,
     size,
-    transfer,
     transfer_expansion,
     z_factor,
 )
@@ -443,14 +442,6 @@ class TensorSymFunc:
         return hash(self.to(("m", "m")).coeffs)
 
 
-def tensor(f: SymFunc, g: SymFunc) -> TensorSymFunc:
-    out = {}
-    for lam, c in f.coeffs:
-        for mu, d in g.coeffs:
-            out[(lam, mu)] = c * d
-    return TensorSymFunc.make((f.basis, g.basis), out)
-
-
 @lru_cache(maxsize=None)
 def _p_splits(rho: Partition) -> tuple:
     """All multiset splits of rho with multinomial multiplicities.
@@ -552,25 +543,6 @@ def psi_flat(lam: Partition, mu: Partition) -> int:
     return out
 
 
-def act_phi_flat(lam: Partition, mu: Partition) -> int:
-    """Pieri weight of an adjacent-column horizontal strip lam/mu, else 0.
-
-    lam must arise from mu by removing one part equal to y and adding one part
-    y + r (y = 0 allowed); the weight is the multiplicity of the grown part.
-    """
-    lam, mu = normalize(lam), normalize(mu)
-    r = size(lam) - size(mu)
-    if r <= 0:
-        return 1 if (r == 0 and lam == mu) else 0
-    for y in {0} | set(mu):
-        stripped = list(mu)
-        if y:
-            stripped.remove(y)
-        if normalize(tuple(stripped) + (y + r,)) == lam:
-            return multiplicity(lam, y + r)
-    return 0
-
-
 def _skew_successors(lam: Partition, step_fn):
     """Layer successors for partition chains inside lam; step_fn(bigger, smaller)
     gives the layer factor."""
@@ -585,11 +557,6 @@ def _skew_successors(lam: Partition, step_fn):
     return successors
 
 
-def _skew_weight(lam, mu, nu, step_fn) -> int:
-    lam, mu = normalize(lam), normalize(mu)
-    return transfer(mu, lam, 0, nu, _skew_successors(lam, step_fn))
-
-
 def _skew_expansion(lam, mu, step_fn) -> SymFunc:
     lam, mu = normalize(lam), normalize(mu)
     ends = {(lam, 0): size(lam) - size(mu)}
@@ -601,20 +568,6 @@ def _contains(outer: Partition, inner: Partition) -> bool:
     return all(
         (outer[i] if i < len(outer) else 0) >= v for i, v in enumerate(inner)
     )
-
-
-def theta_weight_flat(lam, mu, nu) -> int:
-    """Weighted count of RPP of shape lam/mu and weight nu."""
-    return _skew_weight(lam, mu, nu, theta_flat)
-
-
-def psi_weight_flat(lam, mu, nu) -> int:
-    return _skew_weight(lam, mu, nu, psi_flat)
-
-
-def adjacent_column_weight(lam, mu, nu) -> int:
-    """Weighted sum over adjacent column tableaux of shape lam/mu, weight nu."""
-    return _skew_weight(lam, mu, nu, act_phi_flat)
 
 
 def skew_h(lam: Partition, mu: Partition) -> SymFunc:

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -533,6 +535,58 @@ def test_every_module_is_traced_by_the_benchmark():
     ]
     modules = {m.name for m in pkgutil.iter_modules(cylsym.__path__)}
     assert modules and modules <= set(listed)
+
+
+# Top-level definitions that nothing reads yet, each named by a ROADMAP item as
+# the input of a planned suite or route: the subcoalgebra and positivity suites
+# (items 3 and 4) and the affine-permutation route (item 9).
+FUTURE_INPUTS = {
+    "gw_symmetry_suite",
+    "level_rank_check",
+    "chi_matrix_check",
+    "nonskew_orthogonality",
+    "generators",
+    "act_on_loop",
+}
+
+
+def _names(tree) -> set:
+    """Every name, attribute and imported name in a syntax tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_src_holds_only_what_is_read():
+    """Every top-level def or class of `src/cylsym` is read elsewhere in
+    `src/` (as a name, an attribute or an import), exported by
+    `cylsym/__init__.py`, named by the benchmark, or in FUTURE_INPUTS; every
+    name of FUTURE_INPUTS still exists unread, so the set cannot go stale.
+    Routes that only tests read live in `tests/oracles.py`."""
+    src = Path(cylsym.__file__).resolve().parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    exported = {a.asname or a.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    bench = set(re.findall(r"\w+", "".join(p.read_text() for p in TRACER.parent.glob("*.py"))))
+    tops = [(module, node, _names(node)) for module, tree in trees.items() for node in tree.body]
+    reads = Counter(name for _, _, names in tops for name in names)
+    unread = [
+        (module, node.name)
+        for module, node, names in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and reads[node.name] == (node.name in names)
+        and node.name not in exported
+    ]
+    unread_names = {name for _, name in unread}
+    assert FUTURE_INPUTS <= unread_names, f"read or gone: {sorted(FUTURE_INPUTS - unread_names)}"
+    flagged = [f"{m}.{name}" for m, name in unread if name not in bench | FUTURE_INPUTS]
+    assert not flagged, f"read by nothing in src/: {flagged}"
 
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"

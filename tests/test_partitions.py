@@ -20,13 +20,14 @@ from cylsym.partitions import (
     parse_partition,
     partition_from_betas,
     partitions_of,
-    partitions_with_core,
     quantum_dim,
     reduce_to_alcove,
     stab_order,
     standard_tableaux_count,
     z_factor,
 )
+
+from oracles import partitions_with_core
 
 
 def test_conjugate_anchors():

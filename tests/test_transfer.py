@@ -5,9 +5,8 @@ import pytest
 
 from cylsym.cylindric import (
     _expansions,
+    _weight,
     _weight_expansion,
-    phi_weight,
-    psi_weight,
     theta_weight,
 )
 from cylsym.grassmannian import (
@@ -18,13 +17,9 @@ from cylsym.grassmannian import (
     quantum_kostka,
 )
 from cylsym.partitions import enumerate_alcove, partitions_of, transfer_expansion
-from cylsym.symfunc import (
-    adjacent_column_weight,
-    psi_weight_flat,
-    skew_e,
-    skew_h,
-    theta_weight_flat,
-)
+from cylsym.symfunc import psi_flat, skew_e, skew_h, theta_flat
+
+from oracles import _skew_weight, act_phi_flat
 
 GRIDS = [(3, 2), (4, 2)]
 
@@ -35,14 +30,13 @@ def pointwise(deg, count, max_part=None):
 
 @pytest.mark.parametrize("n,k", GRIDS)
 def test_crpp_expansion_matches_pointwise(n, k):
-    routes = {"general": theta_weight, "row-strict": psi_weight, "adjacent-column": phi_weight}
     A = enumerate_alcove(n, k)
     for lam in A:
         for mu in A:
             for d in range(3):
                 deg = lam.size - mu.size + n * d
-                for kind, weight in routes.items():
-                    expected = pointwise(deg, lambda nu: weight(lam, d, mu, nu))
+                for kind in ("general", "row-strict", "adjacent-column"):
+                    expected = pointwise(deg, lambda nu: _weight(lam, d, mu, nu, kind))
                     assert _weight_expansion(lam, d, mu, kind) == expected, (kind, lam, d, mu)
 
 
@@ -94,8 +88,8 @@ def test_flat_expansions_match_pointwise():
         for lam in partitions_of(s):
             for t in range(s + 1):
                 for mu in partitions_of(t):
-                    h = pointwise(s - t, lambda nu: theta_weight_flat(lam, mu, nu))
-                    e = pointwise(s - t, lambda nu: psi_weight_flat(lam, mu, nu))
+                    h = pointwise(s - t, lambda nu: _skew_weight(lam, mu, nu, theta_flat))
+                    e = pointwise(s - t, lambda nu: _skew_weight(lam, mu, nu, psi_flat))
                     assert skew_h(lam, mu).dict() == h, (lam, mu)
                     assert skew_e(lam, mu).dict() == e, (lam, mu)
 
@@ -109,13 +103,13 @@ def test_negative_weight_entry_raises():
     rib = (top.size + 1, -1)
     routes = [
         lambda: theta_weight(lam, 1, mu, nu),
-        lambda: psi_weight(lam, 1, mu, nu),
-        lambda: phi_weight(lam, 1, mu, nu),
+        lambda: _weight(lam, 1, mu, nu, "row-strict"),
+        lambda: _weight(lam, 1, mu, nu, "adjacent-column"),
         lambda: chi_weight(ctx, top, 0, empty, rib),
         lambda: quantum_kostka(ctx, top, 0, empty, (2, 2, 1, -1)),
-        lambda: theta_weight_flat((3, 1), (1,), (4, -1)),
-        lambda: psi_weight_flat((3, 1), (1,), (4, -1)),
-        lambda: adjacent_column_weight((3, 1), (1,), (4, -1)),
+        lambda: _skew_weight((3, 1), (1,), (4, -1), theta_flat),
+        lambda: _skew_weight((3, 1), (1,), (4, -1), psi_flat),
+        lambda: _skew_weight((3, 1), (1,), (4, -1), act_phi_flat),
     ]
     for route in routes:
         with pytest.raises(ValueError):
