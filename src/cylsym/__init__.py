@@ -39,8 +39,6 @@ from .symfunc import (
     multiply,
     omega,
     schur_straighten,
-    skew_e,
-    skew_h,
     sym,
 )
 from .cylindric import (
@@ -53,6 +51,8 @@ from .cylindric import (
     nonskew_cyl_h,
     phi_cyl,
     psi_cyl,
+    skew_e,
+    skew_h,
     theta_cyl,
     theta_weight,
 )

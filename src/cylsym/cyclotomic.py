@@ -333,6 +333,6 @@ def _sqrt_prime(p: int, n_field: int) -> CycloNum:
     gauss = _root_sum(n_field, ((step * a * a, 1) for a in range(p)))
     if p % 4 == 1:
         return gauss
-    # gauss^2 = -p here, divide by i
+    # gauss^2 = -p here; divide by i, whose inverse is its conjugate
     i_unit = zeta_pow(n_field, n_field // 4)
-    return gauss * i_unit.inv()
+    return gauss * i_unit.conjugate()

@@ -5,7 +5,10 @@ chain of cylindric loops, each step carrying a closed-form weight in the
 column counts (theta for general steps, psi for vertical strips, phi for
 adjacent-column strips).  The
 same transfer engine produces single weighted counts, full monomial expansions
-and explicit CRPP enumerations.
+and explicit CRPP enumerations.  The flat skew h and e are its degree-0 walk:
+the skew shape lam/mu is the cylindric shape lam+/0/mu+, each partition grown
+by one full first column, in the alcove one column wider than both
+(Postnikov, Duke Math. J. 128, 2005).
 """
 
 from __future__ import annotations
@@ -250,6 +253,29 @@ def cyl_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
 def cyl_e(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:
     """Cylindric elementary symmetric function, expanded over monomials."""
     return SymFunc.make("m", _weight_expansion(lam, d, mu, "row-strict"))
+
+
+def _flat_pair(lam: Partition, mu: Partition) -> tuple[AlcoveWeight, AlcoveWeight]:
+    """lam+ and mu+: each partition padded to k = max(length(lam), length(mu), 1)
+    parts and grown by one full first column, in the alcove with
+    n = max(lam_1, mu_1) + 1.
+    At degree 0 the cylindric shape lam+/0/mu+ is the skew shape lam/mu."""
+    lam, mu = normalize(lam), normalize(mu)
+    k, n = max(len(lam), len(mu), 1), max(lam[:1] + mu[:1], default=0) + 1
+    plus = lambda p: AlcoveWeight(tuple(x + 1 for x in p) + (1,) * (k - len(p)), n, k)
+    return plus(lam), plus(mu)
+
+
+def skew_h(lam: Partition, mu: Partition) -> SymFunc:
+    """Skew complete symmetric function h_{lam/mu}, in the monomial basis."""
+    outer, inner = _flat_pair(lam, mu)
+    return cyl_h(outer, 0, inner)
+
+
+def skew_e(lam: Partition, mu: Partition) -> SymFunc:
+    """Skew elementary symmetric function e_{lam/mu}, in the monomial basis."""
+    outer, inner = _flat_pair(lam, mu)
+    return cyl_e(outer, 0, inner)
 
 
 def cyl_h_in_h(lam: AlcoveWeight, d: int, mu: AlcoveWeight) -> SymFunc:

@@ -22,16 +22,13 @@ from math import comb, factorial, lcm
 
 from .partitions import (
     Partition,
-    _comb0,
     beta_numbers,
-    conjugate,
     length,
     multiplicity,
     normalize,
     partition_from_betas,
     partitions_of,
     size,
-    transfer_expansion,
     z_factor,
 )
 
@@ -509,74 +506,6 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 
 def sign_character(mu: Partition) -> int:
     return -1 if (size(mu) - length(mu)) % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# skew complete/elementary functions and their binomial weights
-
-
-def theta_flat(lam: Partition, mu: Partition) -> int:
-    """Number of distinct rearrangements of mu fitting under lam, in closed form."""
-    lam, mu = normalize(lam), normalize(mu)
-    lc, mc = conjugate(lam), conjugate(mu)
-    top = max(len(lc), len(mc))
-    out = 1
-    for i in range(1, top + 1):
-        li = lc[i - 1] if i <= len(lc) else 0
-        mi = mc[i - 1] if i <= len(mc) else 0
-        mi1 = mc[i] if i < len(mc) else 0
-        out *= _comb0(li - mi1, mi - mi1)
-    return out
-
-
-def psi_flat(lam: Partition, mu: Partition) -> int:
-    """Number of rearrangements of mu making lam/alpha a vertical strip."""
-    lam, mu = normalize(lam), normalize(mu)
-    lc, mc = conjugate(lam), conjugate(mu)
-    top = max(len(lc), len(mc))
-    out = 1
-    for i in range(1, top + 1):
-        li = lc[i - 1] if i <= len(lc) else 0
-        li1 = lc[i] if i < len(lc) else 0
-        mi = mc[i - 1] if i <= len(mc) else 0
-        out *= _comb0(li - li1, li - mi)
-    return out
-
-
-def _skew_successors(lam: Partition, step_fn):
-    """Layer successors for partition chains inside lam; step_fn(bigger, smaller)
-    gives the layer factor."""
-
-    def successors(sig: Partition, r: int):
-        for tau in partitions_of(size(sig) + r, max_len=len(lam) or 1):
-            if _contains(tau, sig) and _contains(lam, tau):
-                w = step_fn(tau, sig)
-                if w:
-                    yield tau, 0, w
-
-    return successors
-
-
-def _skew_expansion(lam, mu, step_fn) -> SymFunc:
-    lam, mu = normalize(lam), normalize(mu)
-    ends = {(lam, 0): size(lam) - size(mu)}
-    table = transfer_expansion(mu, ends, _skew_successors(lam, step_fn))[(lam, 0)]
-    return SymFunc.make("m", table)
-
-
-def _contains(outer: Partition, inner: Partition) -> bool:
-    return all(
-        (outer[i] if i < len(outer) else 0) >= v for i, v in enumerate(inner)
-    )
-
-
-def skew_h(lam: Partition, mu: Partition) -> SymFunc:
-    """Skew complete symmetric function, in the monomial basis."""
-    return _skew_expansion(lam, mu, theta_flat)
-
-
-def skew_e(lam: Partition, mu: Partition) -> SymFunc:
-    return _skew_expansion(lam, mu, psi_flat)
 
 
 # ---------------------------------------------------------------------------

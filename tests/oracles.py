@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from cylsym.affine import shifted_reduce
 from cylsym.cyclotomic import CycloNum, eval_msym, zeta_pow
-from cylsym.cylindric import _nonskew_terms
+from cylsym.cylindric import _nonskew_terms, _psi_cyl, _theta_cyl
 from cylsym.fusion import FusionContext, Report, fusion_count
 from cylsym.grassmannian import GrassContext, _pad, core_fiber
 from cylsym.partitions import (
@@ -24,7 +24,7 @@ from cylsym.partitions import (
     size,
     transfer,
 )
-from cylsym.symfunc import SymFunc, TensorSymFunc, _skew_successors
+from cylsym.symfunc import SymFunc, TensorSymFunc
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +73,40 @@ def act_phi_flat(lam: Partition, mu: Partition) -> int:
     return 0
 
 
+def theta_flat(lam: Partition, mu: Partition) -> int:
+    """The theta step of the skew shape lam/mu: `_theta_cyl` at degree 0 on
+    n = max(lam_1, mu_1) + 1 columns, the last one empty in both."""
+    return _theta_cyl(lam, 0, mu, max(lam[:1] + mu[:1], default=0) + 1)
+
+
+def psi_flat(lam: Partition, mu: Partition) -> int:
+    """The psi step of lam/mu, `_psi_cyl` on the same columns as `theta_flat`."""
+    return _psi_cyl(lam, 0, mu, max(lam[:1] + mu[:1], default=0) + 1)
+
+
 def _skew_weight(lam, mu, nu, step_fn) -> int:
+    """Weighted count of the partition chains mu -> lam whose layers add
+    nu[0], nu[1], ... boxes; step_fn(bigger, smaller) gives the layer factor."""
     lam, mu = normalize(lam), normalize(mu)
     return transfer(mu, lam, 0, nu, _skew_successors(lam, step_fn))
+
+
+def _skew_successors(lam: Partition, step_fn):
+    """Layer successors for partition chains inside lam, by a scan of every
+    partition of the layer's size."""
+
+    def successors(sig: Partition, r: int):
+        for tau in partitions_of(size(sig) + r, max_len=len(lam) or 1):
+            if _contains(tau, sig) and _contains(lam, tau):
+                w = step_fn(tau, sig)
+                if w:
+                    yield tau, 0, w
+
+    return successors
+
+
+def _contains(outer: Partition, inner: Partition) -> bool:
+    return all((outer[i] if i < len(outer) else 0) >= v for i, v in enumerate(inner))
 
 
 # ---------------------------------------------------------------------------

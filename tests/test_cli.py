@@ -563,30 +563,41 @@ def _names(tree) -> set:
     return out
 
 
+def _unread(trees: dict, outside: set) -> list:
+    """The (module, name) of every top-level def or class of trees that no
+    other top-level statement of trees reads and whose name is not in outside."""
+    tops = [(module, node, _names(node)) for module, tree in trees.items() for node in tree.body]
+    reads = Counter(name for _, _, names in tops for name in names)
+    return [
+        (module, node.name)
+        for module, node, names in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and reads[node.name] == (node.name in names)
+        and node.name not in outside
+    ]
+
+
 def test_src_holds_only_what_is_read():
     """Every top-level def or class of `src/cylsym` is read elsewhere in
     `src/` (as a name, an attribute or an import), exported by
     `cylsym/__init__.py`, named by the benchmark, or in FUTURE_INPUTS; every
     name of FUTURE_INPUTS still exists unread, so the set cannot go stale.
-    Routes that only tests read live in `tests/oracles.py`."""
+    Routes that only tests read live in `tests/oracles.py`, and each of its
+    top-level defs is read by a `tests/test_*.py` file or by another oracle."""
     src = Path(cylsym.__file__).resolve().parent
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
     exported = {a.asname or a.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     bench = set(re.findall(r"\w+", "".join(p.read_text() for p in TRACER.parent.glob("*.py"))))
-    tops = [(module, node, _names(node)) for module, tree in trees.items() for node in tree.body]
-    reads = Counter(name for _, _, names in tops for name in names)
-    unread = [
-        (module, node.name)
-        for module, node, names in tops
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and reads[node.name] == (node.name in names)
-        and node.name not in exported
-    ]
+    unread = _unread(trees, exported)
     unread_names = {name for _, name in unread}
     assert FUTURE_INPUTS <= unread_names, f"read or gone: {sorted(FUTURE_INPUTS - unread_names)}"
     flagged = [f"{m}.{name}" for m, name in unread if name not in bench | FUTURE_INPUTS]
     assert not flagged, f"read by nothing in src/: {flagged}"
+    tests = Path(__file__).resolve().parent
+    read_by_tests = set().union(*(_names(ast.parse(p.read_text())) for p in tests.glob("test_*.py")))
+    stale = _unread({"oracles": ast.parse((tests / "oracles.py").read_text())}, read_by_tests)
+    assert not stale, f"read by no test and no other oracle: {[name for _, name in stale]}"
 
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"

@@ -26,6 +26,8 @@ from cylsym.cylindric import (
     phi_cyl,
     phi_cyl_oracle,
     psi_cyl,
+    skew_e,
+    skew_h,
     theta_cyl,
     theta_weight,
 )
@@ -38,9 +40,9 @@ from cylsym.partitions import (
     partitions_of,
     stab_order,
 )
-from cylsym.symfunc import SymFunc, convert, skew_e, skew_h, sym
+from cylsym.symfunc import SymFunc, convert, sym
 
-from oracles import cyl_in_nonskew
+from oracles import cyl_in_nonskew, psi_flat, theta_flat
 
 A43 = AlcoveWeight
 
@@ -53,8 +55,6 @@ def test_theta_hand_anchors():
 
 
 def test_theta_reduces_to_flat_at_degree_zero():
-    from cylsym.symfunc import theta_flat, psi_flat
-
     for n, k in [(3, 2), (4, 3)]:
         for lam in enumerate_alcove(n, k):
             for mu in enumerate_alcove(n, k):

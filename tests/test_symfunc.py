@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cylsym import symfunc
 from cylsym.cyclotomic import CycloNum
+from cylsym.cylindric import skew_e, skew_h
 from cylsym.partitions import (
     distinct_permutations,
     partitions_of,
@@ -26,17 +27,13 @@ from cylsym.symfunc import (
     multiply,
     omega,
     p_to_m_row,
-    psi_flat,
     schur_straighten,
     power_sum_counts,
     sign_character,
-    skew_e,
-    skew_h,
     sym,
-    theta_flat,
 )
 
-from oracles import _skew_weight, act_phi_flat, tensor
+from oracles import _skew_weight, act_phi_flat, psi_flat, tensor, theta_flat
 
 BASES = ("p", "m", "h", "e", "s")
 
@@ -313,6 +310,16 @@ def test_skew_h_routes():
                         if coef:
                             via_f = via_f + sym("m", nu) * coef
                     assert via_rpp == via_f, (lam, mu)
+    # inputs are normalised; negative parts raise; a mu that does not fit under
+    # lam, wider (mu_1 > lam_1) or longer (length(mu) > length(lam)), gives zero
+    for f in (skew_h, skew_e):
+        assert f((1, 3, 0, 2), (0, 1)).coeffs == f((3, 2, 1), (1,)).coeffs
+        for lam, mu in [((2, -1), ()), ((2,), (1, -1))]:
+            with pytest.raises(ValueError, match="negative part"):
+                f(lam, mu)
+        for lam, mu in [((2, 2), (3,)), ((1,), (2,)), ((3,), (1, 1)), ((4,), (3, 1))]:
+            assert f(lam, mu).is_zero(), (f, lam, mu)
+        assert f((), ()).coeffs == (((), Fraction(1)),)
 
 
 def test_skew_e_antipode_relation():

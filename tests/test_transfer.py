@@ -7,6 +7,8 @@ from cylsym.cylindric import (
     _expansions,
     _weight,
     _weight_expansion,
+    skew_e,
+    skew_h,
     theta_weight,
 )
 from cylsym.grassmannian import (
@@ -17,9 +19,8 @@ from cylsym.grassmannian import (
     quantum_kostka,
 )
 from cylsym.partitions import enumerate_alcove, partitions_of, transfer_expansion
-from cylsym.symfunc import psi_flat, skew_e, skew_h, theta_flat
 
-from oracles import _skew_weight, act_phi_flat
+from oracles import _skew_weight, act_phi_flat, psi_flat, theta_flat
 
 GRIDS = [(3, 2), (4, 2)]
 
