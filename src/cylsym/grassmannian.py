@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 
 from .cyclotomic import CycloNum, eval_alternant
 from .affine import shifted_reduce
@@ -121,31 +122,56 @@ def gw_bvi(ctx: GrassContext, lam, mu, nu, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _k_weights(ctx: GrassContext, mu: BoxedPartition) -> tuple:
-    """((alpha, K_{mu alpha}), ...) over the k-entry weights alpha of s_mu in k variables."""
+def _kostka_rows(ctx: GrassContext) -> dict:
+    """{mu: ((beta, K_{mu beta}), ...)} over the dominant weights beta of s_mu
+    with at most k parts, padded to k: one horizontal-strip walk out of the
+    empty partition, with every (mu, 0) as an end."""
     empty = BoxedPartition((), ctx.n, ctx.k)
-    out = []
-    for nu, c in _kostka_expansion(ctx, mu, 0, empty, row_strict=False).items():
-        if len(nu) <= ctx.k:
-            out.extend((alpha, c) for alpha in distinct_permutations(_pad(nu, ctx.k)))
-    return tuple(out)
+    ends = {(mu, 0): mu.size for mu in ctx.boxed}
+    successors = lambda w, r: _strip_successors(w, r, False)
+    walk = transfer_expansion(empty, ends, successors, max_part=ctx.n - ctx.k, max_len=ctx.k)
+    return {mu: tuple((_pad(beta, ctx.k), c) for beta, c in walk[(mu, 0)].items()) for mu, _ in ends}
+
+
+@lru_cache(maxsize=None)
+def _orbit_sums(ctx: GrassContext, lam: BoxedPartition) -> dict:
+    """{beta: ((key, ...), (value, ...))} for every dominant beta in the box
+    up to lam in the order (|beta|, beta), the one in which `_reduced_product`
+    expands the smaller factor: the nonzero terms {(nu, d): value} of
+    R(lam, beta) = sum over the rearrangements alpha of beta of
+    `shifted_reduce`(lam + alpha), as two tuples whose keys are shared."""
+    n, k = ctx.n, ctx.k
+    base = lam.padded()
+    keys: dict = {}
+    out = {}
+    for b in ctx.boxed:
+        if (b.size, b.parts) > (lam.size, lam.parts):
+            continue
+        acc: dict = {}
+        for alpha in distinct_permutations(b.padded()):
+            term = shifted_reduce(tuple(map(add, base, alpha)), n, k)
+            if term is not None:
+                nu, d, sign = term
+                key = keys.setdefault((nu.parts, d), (nu.parts, d))  # one tuple per key and lam
+                acc[key] = acc.get(key, 0) + sign
+        nonzero = [key for key, v in acc.items() if v]
+        out[b.padded()] = (tuple(nonzero), tuple(acc[key] for key in nonzero))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _reduced_product(ctx: GrassContext, lam: BoxedPartition, mu: BoxedPartition) -> dict:
-    """{(nu, d): C_{lam mu}^{nu, d}} for s_lam * s_mu in k variables: each
-    weight lam + alpha (Brauer-Klimyk) is reduced at level n by `shifted_reduce`."""
+    """{(nu, d): C_{lam mu}^{nu, d}} for s_lam * s_mu in k variables, by the
+    dominant weights of s_mu = sum K_{mu beta} m_beta: C(lam, mu) is
+    sum K_{mu beta} R(lam, beta) over the orbit sums of `_orbit_sums`."""
     if (lam.size, lam.parts) < (mu.size, mu.parts):
         return _reduced_product(ctx, mu, lam)  # it commutes: expand the smaller factor
-    n, k = ctx.n, ctx.k
-    base = lam.padded()
+    sums = _orbit_sums(ctx, lam)
     out: dict = {}
-    for alpha, c in _k_weights(ctx, mu):
-        term = shifted_reduce(tuple(a + b for a, b in zip(base, alpha)), n, k)
-        if term is not None:
-            nu, d, sign = term
-            key = (nu.parts, d)
-            out[key] = out.get(key, 0) + sign * c
+    for beta, c in _kostka_rows(ctx)[mu]:
+        keys, values = sums[beta]
+        for key, v in zip(keys, values):
+            out[key] = out.get(key, 0) + c * v
     return out
 
 

@@ -181,10 +181,13 @@ def transfer(start, end, dmax: int, weight, successors) -> int:
     return vec.get((end, dmax), 0)
 
 
-def transfer_expansion(start, ends: dict, successors, max_part: int | None = None) -> dict:
+def transfer_expansion(
+    start, ends: dict, successors, max_part: int | None = None, max_len: int | None = None
+) -> dict:
     """{end: {nu: transfer(start, state, e, nu, successors)}} for every end
     (state, e) of `ends`, which maps it to its degree |nu|; the nu are the
-    partitions with parts at most max_part, nonzero values only.
+    partitions with parts at most max_part and at most max_len parts, nonzero
+    values only.
 
     One walk serves every end.  Partitions are visited in descending order,
     so each layer vector is computed once for every prefix it shares, and an
@@ -207,6 +210,8 @@ def transfer_expansion(start, ends: dict, successors, max_part: int | None = Non
             c = vec.get(end, 0)
             if c:
                 out[end][prefix] = c
+        if len(prefix) == max_len:
+            return
         for r in range(min(biggest, top - total), 0, -1):
             nxt = _layer(vec, r, dmax, successors)
             if nxt:

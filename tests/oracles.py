@@ -7,16 +7,20 @@ pointwise evaluation, tensors term by term.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from cylsym.affine import shifted_reduce
 from cylsym.cyclotomic import CycloNum, eval_msym, zeta_pow
 from cylsym.cylindric import _nonskew_terms, _psi_cyl, _theta_cyl
 from cylsym.fusion import FusionContext, Report, fusion_count
-from cylsym.grassmannian import GrassContext, _pad, core_fiber
+from cylsym.grassmannian import GrassContext, _kostka_expansion, _pad, core_fiber
 from cylsym.partitions import (
     AlcoveWeight,
+    BoxedPartition,
     Partition,
     Weight,
     conjugate,
+    distinct_permutations,
     multiplicity,
     n_core,
     normalize,
@@ -131,6 +135,35 @@ def nonskew_cyl_schur(ctx: GrassContext, lam, d: int) -> SymFunc:
     for nu in core_fiber(ctx, lam, d):
         out[conjugate(nu)] = shifted_reduce(_pad(nu, kc), ctx.n, kc)[2]
     return SymFunc.make("s", out)
+
+
+@lru_cache(maxsize=None)
+def k_weights(ctx: GrassContext, mu: BoxedPartition) -> tuple:
+    """((alpha, K_{mu alpha}), ...) over the k-entry weights alpha of s_mu in k
+    variables: one Kostka walk per mu, every rearrangement of each weight."""
+    empty = BoxedPartition((), ctx.n, ctx.k)
+    out = []
+    for nu, c in _kostka_expansion(ctx, mu, 0, empty, row_strict=False).items():
+        if len(nu) <= ctx.k:
+            out.extend((alpha, c) for alpha in distinct_permutations(_pad(nu, ctx.k)))
+    return tuple(out)
+
+
+def brauer_klimyk_product(ctx: GrassContext, lam: BoxedPartition, mu: BoxedPartition) -> dict:
+    """{(nu, d): C_{lam mu}^{nu, d}} for s_lam * s_mu in k variables, weight by
+    weight: each lam + alpha over the weights of the smaller factor
+    (Brauer-Klimyk) is reduced at level n by `shifted_reduce`."""
+    if (lam.size, lam.parts) < (mu.size, mu.parts):
+        lam, mu = mu, lam
+    base = lam.padded()
+    out: dict = {}
+    for alpha, c in k_weights(ctx, mu):
+        term = shifted_reduce(tuple(a + b for a, b in zip(base, alpha)), ctx.n, ctx.k)
+        if term is not None:
+            nu, d, sign = term
+            key = (nu.parts, d)
+            out[key] = out.get(key, 0) + sign * c
+    return out
 
 
 # ---------------------------------------------------------------------------

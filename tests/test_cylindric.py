@@ -55,11 +55,17 @@ def test_theta_hand_anchors():
 
 
 def test_theta_reduces_to_flat_at_degree_zero():
+    # the flat steps are the degree-0 closed forms on max(lam_1, mu_1) + 1
+    # columns; the brute counts of `oracle_rows` on those columns are independent
     for n, k in [(3, 2), (4, 3)]:
         for lam in enumerate_alcove(n, k):
             for mu in enumerate_alcove(n, k):
-                assert theta_cyl(lam, 0, mu) == theta_flat(lam.parts, mu.parts)
-                assert psi_cyl(lam, 0, mu) == psi_flat(lam.parts, mu.parts)
+                theta, psi = theta_flat(lam.parts, mu.parts), psi_flat(lam.parts, mu.parts)
+                assert theta_cyl(lam, 0, mu) == theta
+                assert psi_cyl(lam, 0, mu) == psi
+                m = max(lam.parts[0], mu.parts[0]) + 1
+                brute = oracle_rows(AlcoveWeight(lam.parts, m, k), AlcoveWeight(mu.parts, m, k), 0)
+                assert brute == ([theta], [psi]), (lam.parts, mu.parts)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (4, 3)])

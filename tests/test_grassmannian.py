@@ -30,7 +30,7 @@ from cylsym.grassmannian import (
     ribbon_data,
     toric_schur,
 )
-from cylsym.grassmannian import _strip_successors
+from cylsym.grassmannian import _kostka_expansion, _pad, _strip_successors
 from cylsym.partitions import (
     BoxedPartition,
     ContextMismatchError,
@@ -43,7 +43,7 @@ from cylsym.partitions import (
 )
 from cylsym.symfunc import convert, multiply, sym
 
-from oracles import nonskew_cyl_schur, partitions_with_core, tensor
+from oracles import brauer_klimyk_product, nonskew_cyl_schur, partitions_with_core, tensor
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -495,6 +495,57 @@ def test_default_table_matches_bvi_on_edges_and_samples():
             assert table.entries.get((lam, mu, nu, d), 0) == gw_bvi(ctx, lam, mu, nu, d), (
                 n, k, lam, mu, nu, d,
             )
+
+
+def test_one_kostka_walk_equals_the_walk_per_shape():
+    # the rows of every mu read off one walk out of the empty partition
+    for n in range(2, 9):
+        for k in range(1, n):
+            ctx = grass_context(n, k)
+            empty = boxed((), n, k)
+            rows = grassmannian._kostka_rows(ctx)
+            assert set(rows) == set(ctx.boxed)
+            for mu in ctx.boxed:
+                alone = _kostka_expansion(ctx, mu, 0, empty, row_strict=False)
+                expect = {_pad(beta, k): c for beta, c in alone.items() if len(beta) <= k}
+                assert len(rows[mu]) == len(expect) and dict(rows[mu]) == expect, (n, k, mu.parts)
+
+
+def _nonzero(product: dict) -> dict:
+    return {key: v for key, v in product.items() if v}
+
+
+def test_dominant_weight_products_equal_the_weight_by_weight_loop():
+    # whole pair grids of Gr(4,8) and Gr(3,9), seeded pairs of Gr(5,10)
+    rng = random.Random(20221022)
+    for n, k, samples in [(8, 4, None), (9, 3, None), (10, 5, 200)]:
+        ctx = grass_context(n, k)
+        pairs = [(lam, mu) for lam in ctx.boxed for mu in ctx.boxed]
+        if samples:
+            pairs = rng.sample(pairs, samples)
+        for lam, mu in pairs:
+            got = _nonzero(grassmannian._reduced_product(ctx, lam, mu))
+            assert got == _nonzero(brauer_klimyk_product(ctx, lam, mu)), (n, k, lam.parts, mu.parts)
+
+
+def test_default_table_sees_one_kostka_entry_off_by_one(monkeypatch):
+    # K_{(2),(1,1)} + 1 must show against gw_bvi, and only in pairs with (2)
+    ctx = grass_context(4, 2)
+    kostka_rows = grassmannian._kostka_rows
+    rows = kostka_rows(ctx)
+    mu = boxed((2,), 4, 2)
+    mutant = dict(rows)
+    mutant[mu] = tuple((beta, c + (beta == (1, 1))) for beta, c in rows[mu])
+    assert mutant[mu] != rows[mu]
+    monkeypatch.setattr(grassmannian, "_kostka_rows", lambda c: mutant if c is ctx else kostka_rows(c))
+    grassmannian._reduced_product.cache_clear()
+    try:
+        table = gw_table(ctx, 2).entries
+    finally:
+        grassmannian._reduced_product.cache_clear()
+    reference = gw_table(ctx, 2, route=gw_bvi).entries
+    wrong = {key for key in set(table) | set(reference) if table.get(key, 0) != reference.get(key, 0)}
+    assert wrong and all(mu.parts in key[:2] for key in wrong)
 
 
 def test_per_pair_table_equals_the_per_triple_calls():
