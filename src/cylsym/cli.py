@@ -30,7 +30,7 @@ from .cylindric import (
     theta_cyl,
 )
 from .partitions import AlcoveWeight, BoxedPartition, format_partition
-from .partitions import lawful_rows, parse_partition
+from .partitions import parse_partition
 
 
 class UsageError(Exception):
@@ -139,18 +139,18 @@ def _suite_route_equivalence(ctx: fu.FusionContext) -> fu.Report:
     rep = fu.Report(f"fusion route equivalence (n={n}, k={k})")
     A = ctx.alcove
     for i, lam in enumerate(A):
+        verlinde = fu.verlinde_rows(ctx, lam)  # one twist of the packed duals per lam
         for j, mu in enumerate(A):
             # all three give N_{lam mu}^nu for every nu: the count of pairs binned
             # by residues, the Verlinde sum and the array's count by partners
-            a, b, c = fu.count_row(ctx, lam, mu), fu.verlinde_row(ctx, lam, mu), ctx.fusion[i][j]
+            a, b, c = fu.count_row(ctx, lam, mu), verlinde[j], ctx.fusion[i][j]
             rep.run_rows(
                 [(list(zip(a, b)), [(x, x) for x in c], "routes at {},{},{}: {},{},{}")],
                 lambda l: (lam.parts, mu.parts, A[l].parts, a[l], b[l], c[l]),
             )
     if 1 <= k < n:
         gctx = gr.grass_context(n, k)
-        for lam, mu, row in lawful_rows(gctx.boxed, n, 1):
-            bvi = [gr.gw_bvi(gctx, lam, mu, nu, d) for nu, d in row]
+        for lam, mu, row, bvi in gr.gw_bvi_rows(gctx, 1):
             ribbon = [gr.gw_ribbon(gctx, lam, mu, nu, d) for nu, d in row]
             rep.run_rows(
                 [(bvi, ribbon, "GW routes at {},{},{},{}")],

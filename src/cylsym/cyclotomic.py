@@ -261,18 +261,21 @@ def eval_msym(lam, p: Weight, n: int) -> CycloNum:
     return CycloNum._of(n, _reduce_mod_phi(msym_exponents(lam, p, n), n))
 
 
-def eval_alternant(lam: Weight, sigma: Weight, n: int) -> CycloNum:
-    """det(zeta^(sigma_j * lam_i)) by Leibniz expansion."""
+def alternant_exponents(lam: Weight, sigma: Weight, n: int) -> list[int]:
+    """det(zeta^(sigma_j * lam_i)) in the group ring Z[x]/(x^n - 1) by Leibniz
+    expansion: entry e is the signed count of the permutations with exponent e mod n."""
     k = len(lam)
     if len(sigma) != k:
         raise ValueError("rank mismatch")
-    return _root_sum(
-        n,
-        (
-            (sum(lam[i] * sigma[perm[i]] for i in range(k)), sign)
-            for perm, sign in _signed_permutations(k)
-        ),
-    )
+    counts = [0] * n
+    for perm, sign in _signed_permutations(k):
+        counts[sum(lam[i] * sigma[perm[i]] for i in range(k)) % n] += sign
+    return counts
+
+
+def eval_alternant(lam: Weight, sigma: Weight, n: int) -> CycloNum:
+    """det(zeta^(sigma_j * lam_i)): alternant_exponents reduced by Phi_n."""
+    return CycloNum._of(n, _reduce_mod_phi(alternant_exponents(lam, sigma, n), n))
 
 
 @lru_cache(maxsize=None)

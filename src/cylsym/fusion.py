@@ -6,8 +6,11 @@ the root-of-unity orthogonality sum (Verlinde), and reduction of out-of-alcove
 indices by stabiliser ratios.  The fusion array of a context counts the same
 pairs by one pass over partners, independently of the per-triple count.
 The first two routes also come by rows, every nu of a pair (lam, mu) at once:
-`count_row` bins the pairs of rearrangements by residues, and `verlinde_row`
-contracts against the packed dual vectors of every nu.
+`count_row` bins the pairs of rearrangements by residues, and `verlinde_rows`
+twists the packed dual vectors of every nu by m_lam once, so that each mu
+then costs one dot product with the nonzero exponent counts of m_mu.  The
+packing and twisting helpers also carry the alternant route of the
+Gromov-Witten rows in `grassmannian`.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
-from operator import add, mul
+from itertools import repeat
+from operator import add, floordiv, mod, mul
 
-from .cyclotomic import CycloNum, NonIntegralError, msym_exponents, sqrt_int, zeta_pow
+from .cyclotomic import CycloNum, NonIntegralError, euler_phi, msym_exponents, sqrt_int, zeta_pow
 from .cyclotomic import _reduce_mod_phi, _root_sum
 from .partitions import (
     AlcoveWeight,
@@ -88,6 +92,76 @@ def _slots(x: int, widths) -> list[int]:
     return out
 
 
+def _pack(duals, bound: int) -> tuple[list[int], list[int]]:
+    """The vectors duals packed column by column: one integer per column with a
+    signed W-bit slot per vector, and the slot widths.  W is the bit length of
+    bound plus 1, so a contraction whose slots stay below bound in absolute
+    value decodes by `_slots`."""
+    width = bound.bit_length() + 1
+    packed = [sum(v << (width * s) for s, v in enumerate(col)) for col in zip(*duals)]
+    return packed, [width] * len(duals)
+
+
+def _twist(packed: list[int], counts, n: int) -> list[int]:
+    """D[s, l] = sum_j counts[s][j] packed[s, (l + j) mod n] over the packed
+    columns (s, l), for counts[s] in Z[x]/(x^n - 1): the contraction of the
+    columns with the product of counts and a second factor e is then the dot
+    product of D with e.  Built anew on every call, from the columns as they are."""
+    out = []
+    for s, e in enumerate(counts):
+        col = packed[s * n : s * n + n]
+        acc = [0] * n
+        for j, c in enumerate(e):
+            if c:
+                acc = [a + c * b for a, b in zip(acc, col[j:] + col[:j])]
+        out += acc
+    return out
+
+
+def _support(counts) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The nonzero entries of counts flattened over (s, l), as (c, indices)
+    per distinct value c: a dot product then multiplies once per value."""
+    by_value: dict = {}
+    for x, c in enumerate(c for e in counts for c in e):
+        if c:
+            by_value.setdefault(c, []).append(x)
+    return tuple((c, tuple(xs)) for c, xs in by_value.items())
+
+
+def _integral(r: list[int], n: int, scale: int, what: str) -> int:
+    """The integer r / scale for a residue r mod Phi_n; a nonconstant or
+    non-integral r raises NonIntegralError, also under python -O."""
+    value, rem = divmod(r[0], scale)
+    if rem or any(r[1:]):
+        raise NonIntegralError(CycloNum._of(n, r, scale), what)
+    return value
+
+
+def _packed_row(twist: list[int], support, widths, n: int, scale: int, what: str) -> list[int]:
+    """The dot product of a twist with a support: one residue mod Phi_n of
+    phi(n) slots per packed dual, each divided by scale.
+
+    The slots share one width w, as `_pack` makes them, and `_slots` reads
+    the phi(n) slots of each residue at once as one slot of width phi(n) w.
+    That slot lies in [-2^(w-1), 2^(w-1)) exactly when every slot of the
+    residue but the constant one is 0.  Otherwise, or when a constant is not
+    a multiple of scale, the residues are decoded slot by slot and the first
+    one that `_integral` refuses raises, also under python -O."""
+    x = sum([c * sum(map(twist.__getitem__, xs)) for c, xs in support])
+    step, w = euler_phi(n), widths[0]
+    heads = _slots(x, [w * step] * (len(widths) // step))
+    out = [v // scale for v in heads]
+    if (
+        min(heads) < -(1 << (w - 1))
+        or max(heads) >= 1 << (w - 1)
+        or [v * scale for v in out] != heads
+    ):
+        r = _slots(x, widths)
+        for s in range(0, len(r), step):
+            _integral(r[s : s + step], n, scale, what)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # route 1: the counting definition, valid for dominant weights of rank k
 
@@ -126,21 +200,23 @@ def count_row(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight) -> list[i
     keyed as sum_i (k+1)^((a_i + b_i) mod n).  Permuting the coordinates of a
     counted pair permutes its sum, so the bin of nu's residues counts every
     rearrangement of them equally often: N times their number k!/|S_nu|.  A
-    remainder raises ArithmeticError, also under python -O."""
+    remainder raises ArithmeticError, also under python -O.  For each a the
+    keys of all b are summed coordinate by coordinate, over the columns of
+    the rearrangements of mu."""
     ctx._check(lam, mu)
-    n, base = ctx.n, ctx.k + 1
-    power = [base ** (t % n) for t in range(2 * n + 1)]
+    power, keys, shares = ctx._residue_bins
+    first, *rest = zip(*distinct_permutations(mu.parts))
     bins = Counter()
     for a in distinct_permutations(lam.parts):
-        for b in distinct_permutations(mu.parts):
-            bins[sum(map(power.__getitem__, map(add, a, b)))] += 1
-    row = []
-    for nu in ctx.alcove:
-        total = bins[sum(power[p] for p in nu.parts)]
-        value, rem = divmod(total, len(distinct_permutations(nu.parts)))
-        if rem:
-            raise ArithmeticError(f"{total} pairs at {nu.parts} do not share evenly")
-        row.append(value)
+        summed = map(power[a[0] :].__getitem__, first)
+        for x, column in zip(a[1:], rest):
+            summed = map(add, summed, map(power[x:].__getitem__, column))
+        bins.update(summed)
+    totals = list(map(bins.get, keys, repeat(0)))
+    row = list(map(floordiv, totals, shares))
+    if any(map(mod, totals, shares)):
+        l = next(l for l, (t, c) in enumerate(zip(totals, shares)) if t % c)
+        raise ArithmeticError(f"{totals[l]} pairs at {ctx.alcove[l].parts} do not share evenly")
     return row
 
 
@@ -175,6 +251,15 @@ class FusionContext:
         """msym_counts[lam][i] = m_lam(zeta^sigma) in Z[x]/(x^n - 1), sigma = alcove[i]."""
         A = self.alcove
         return {a.parts: [msym_exponents(a.parts, s.parts, self.n) for s in A] for a in A}
+
+    @cached_property
+    def _residue_bins(self) -> tuple[list[int], list[int], list[int]]:
+        """For `count_row`: the powers (k+1)^(t mod n) for t <= 2n, and the bin
+        key sum_i (k+1)^(nu_i mod n) and the number k!/|S_nu| of
+        rearrangements of every alcove point nu."""
+        power = [(self.k + 1) ** (t % self.n) for t in range(2 * self.n + 1)]
+        keys = [sum(power[p] for p in nu.parts) for nu in self.alcove]
+        return power, keys, [len(distinct_permutations(nu.parts)) for nu in self.alcove]
 
     @cached_property
     def fusion(self) -> list:
@@ -246,17 +331,12 @@ class FusionContext:
         duals = [q for nu in self.alcove for q in self._dual(nu)]
         mass = max(sum(map(abs, e)) for rows in self.msym_counts.values() for e in rows)
         top = max(abs(v) for q in duals for v in q)
-        width = (len(self.alcove) * mass**2 * top).bit_length() + 1
-        packed = [sum(v << (width * s) for s, v in enumerate(col)) for col in zip(*duals)]
-        return packed, [width] * len(duals)
+        return _pack(duals, len(self.alcove) * mass**2 * top)
 
-    def _integral(self, r: list[int]) -> int:
-        """The integer r / (n^k k!) for a residue r mod Phi_n; a nonconstant or
-        non-integral r raises NonIntegralError, also under python -O."""
-        value, rem = divmod(r[0], self.scale)
-        if rem or any(r[1:]):
-            raise NonIntegralError(CycloNum._of(self.n, r, self.scale), "Verlinde sum")
-        return value
+    @cached_property
+    def _supports(self) -> dict:
+        """The nonzero exponent counts of every m_mu over (sigma, i), by `_support`."""
+        return {parts: _support(counts) for parts, counts in self.msym_counts.items()}
 
 
 def _rotations(vectors, n: int) -> list[tuple[int, ...]]:
@@ -273,18 +353,28 @@ def n_verlinde(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu: Alco
     Z[x]/(x^n - 1) reduced by Phi_n; a non-integral value raises NonIntegralError.
     """
     ctx._check(lam, mu, nu)
-    return ctx._integral(ctx._contract(ctx._product(lam.parts, mu.parts), nu))
+    r = ctx._contract(ctx._product(lam.parts, mu.parts), nu)
+    return _integral(r, ctx.n, ctx.scale, "Verlinde sum")
 
 
-def verlinde_row(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight) -> list[int]:
-    """N_{lam mu}^nu for every nu of the alcove by the Verlinde route: the
-    contractions of `n_verlinde` for all nu at once, as one dot product of the
-    product m_lam m_mu with the packed dual columns, decoded by `_slots`."""
-    ctx._check(lam, mu)
+def verlinde_rows(ctx: FusionContext, lam: AlcoveWeight) -> list[list[int]]:
+    """The rows N_{lam mu}^nu over every nu of the alcove by the Verlinde route,
+    one per mu of the alcove: the contractions of `n_verlinde` for all nu at
+    once.
+
+    The packed dual columns are twisted by m_lam once (`_twist`); the
+    contraction of m_lam m_mu with them is then one dot product of the twist
+    with the nonzero exponent counts of m_mu.  These are the sums of the
+    product with the columns, so the slot bound of `_packed_duals` holds;
+    each row is decoded by `_slots` and every nu's residue checked integral."""
+    ctx._check(lam)
     packed, widths = ctx._packed_duals
-    r = _slots(sum(map(mul, ctx._product(lam.parts, mu.parts), packed)), widths)
-    step = len(r) // len(ctx.alcove)
-    return [ctx._integral(r[s : s + step]) for s in range(0, len(r), step)]
+    twist = _twist(packed, ctx.msym_counts[lam.parts], ctx.n)
+    n, scale = ctx.n, ctx.scale
+    return [
+        _packed_row(twist, ctx._supports[mu.parts], widths, n, scale, "Verlinde sum")
+        for mu in ctx.alcove
+    ]
 
 
 def n_reduce(ctx: FusionContext, lam: AlcoveWeight, mu: AlcoveWeight, nu) -> int:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import add
 
-from .cyclotomic import CycloNum, eval_alternant
+from .cyclotomic import CycloNum, alternant_exponents, eval_alternant
 from .affine import shifted_reduce
 from .cylindric import _compositions, _psi_cyl
-from .fusion import CoeffTable, Report
+from .fusion import CoeffTable, Report, _pack, _packed_row, _rotations, _support, _twist
 from .partitions import (
     AlcoveWeight,
     BoxedPartition,
@@ -41,8 +42,12 @@ from .symfunc import SymFunc, hall_inner, omega, power_sum_counts
 
 class GrassContext:
     """Gr(k, n): boxed and strict enumerations, plus the root-of-unity tables
-    that only the alternant route `gw_bvi` reads; those are built on first use.
-    An alternant at zeta^-sigma is read as the complex conjugate of `alt`."""
+    of the alternant route, built on first use: `alt` and `denom_inv` for the
+    per-triple `gw_bvi`, and the alternant exponent counts and packed duals
+    for its rows `gw_bvi_rows`, which also read `denom_inv`.  The rim-hook
+    route, and so `gw` tables and cylindric Schur functions, build none of
+    them.  An alternant at zeta^-sigma is read as the complex conjugate of
+    `alt`, or as the reversed exponent counts."""
 
     def __init__(self, n: int, k: int):
         if not 1 <= k < n:
@@ -66,6 +71,44 @@ class GrassContext:
             lam.parts: {s.parts: eval_alternant(lam.parts, s.parts, self.n) for s in self.strict}
             for lam in self.strict
         }
+
+    @cached_property
+    def alt_counts(self) -> dict:
+        """alt_counts[lam][i] = A_(lam + rho)(zeta^sigma) in Z[x]/(x^n - 1), for
+        every boxed lam and sigma = strict[i]."""
+        return {
+            lam: [alternant_exponents(lam.to_strict().parts, s.parts, self.n) for s in self.strict]
+            for lam in self.boxed
+        }
+
+    @cached_property
+    def scale(self) -> int:
+        """The common denominator L of the weights 1 / (n^k A_rho(sigma))."""
+        return lcm(*(v.den for v in self.denom_inv.values()))
+
+    @cached_property
+    def _packed_duals(self) -> tuple[list[int], list[int]]:
+        """The duals x^l conj(A_(nu + rho)(x^sigma)) L / (n^k A_rho(x^sigma)) of
+        every boxed nu, reduced by Phi_n, packed by `fusion._pack`: one integer
+        per column (sigma, l) with a signed W-bit slot per (nu, r), r < phi(n).
+
+        The product p = A_lam A_mu at x^sigma has |p|_1 <= c^2 for the largest
+        |A(x^sigma)|_1 = c of the exponent counts, so every slot of a
+        contraction with p is below |strict| c^2 max|dual| < 2^(W-1)."""
+        n, pad = self.n, (0,) * self.n
+        # the weights L / (n^k A_rho(zeta^sigma)) lifted to Z[x]/(x^n - 1), one
+        # column per (sigma, l); twisting them by the exponent counts e of
+        # A_(nu + rho) gives sum_j e_j w_(l + j), the product with conj(A_(nu + rho))
+        weights = [
+            w for s in self.strict for w in ((self.denom_inv[s.parts] * self.scale).num + pad)[:n]
+        ]
+        duals = []
+        for nu in self.boxed:
+            twisted = _twist(weights, self.alt_counts[nu], n)
+            duals += _rotations([twisted[s : s + n] for s in range(0, len(twisted), n)], n)
+        mass = max(sum(map(abs, e)) for rows in self.alt_counts.values() for e in rows)
+        top = max(abs(v) for q in duals for v in q)
+        return _pack(duals, len(self.strict) * mass**2 * top)
 
     def conjugate_context(self) -> "GrassContext":
         return grass_context(self.n, self.n - self.k)
@@ -115,6 +158,38 @@ def gw_bvi(ctx: GrassContext, lam, mu, nu, d: int) -> int:
     if value < 0:
         raise ValueError(f"negative Gromov-Witten value at {lam.parts},{mu.parts},{nu.parts},{d}")
     return value
+
+
+def gw_bvi_rows(ctx: GrassContext, dmax: int) -> list[tuple]:
+    """(lam, mu, row, values) for every lawful row of `lawful_rows(ctx.boxed,
+    n, dmax)`, values[x] = C_{lam mu}^{nu, d} at (nu, d) = row[x] by the
+    alternant sum of `gw_bvi`.
+
+    The packed duals are twisted by the exponent counts of A_lam once per
+    lam (`fusion._twist`); each pair then costs one dot product with the
+    nonzero exponent counts of A_mu, decoded by `_slots`.  Every nu's residue
+    must be an integer multiple of L, also under python -O, and the sign
+    (-1)^(d (k-1)) must leave it non-negative."""
+    packed, widths = ctx._packed_duals
+    supports = {mu: _support(counts) for mu, counts in ctx.alt_counts.items()}
+    index = {nu: x for x, nu in enumerate(ctx.boxed)}
+    out, last, twist = [], None, None
+    for lam, mu, row in lawful_rows(ctx.boxed, ctx.n, dmax):
+        if lam != last:
+            last, twist = lam, _twist(packed, ctx.alt_counts[lam], ctx.n)
+        sums = _packed_row(twist, supports[mu], widths, ctx.n, ctx.scale, "alternant sum")
+        values = []
+        for nu, d in row:
+            value = sums[index[nu]]
+            if (d * (ctx.k - 1)) % 2:
+                value = -value
+            if value < 0:
+                raise ValueError(
+                    f"negative Gromov-Witten value at {lam.parts},{mu.parts},{nu.parts},{d}"
+                )
+            values.append(value)
+        out.append((lam, mu, row, values))
+    return out
 
 
 # ---------------------------------------------------------------------------

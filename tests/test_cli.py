@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import cylsym
-from cylsym import cli, cylindric, fusion, symfunc
+from cylsym import cli, cylindric, fusion, grassmannian, symfunc
 from cylsym.cli import build_parser, main
 from cylsym.cylindric import antipode_check
-from cylsym.partitions import enumerate_alcove
+from cylsym.partitions import BoxedPartition, enumerate_alcove
 
 
 def run(capsys, *argv):
@@ -245,6 +245,43 @@ def test_route_equivalence_fails_on_a_packed_dual_slot_off_by_one(capsys, monkey
         "fusion route equivalence (n=3, k=2): 225 checks, FAILED (36)\n"
         "  first counterexample: routes at (1, 1),(1, 1),(3, 3): 0,1,0\n"
     )
+
+
+def test_route_equivalence_fails_on_a_packed_gw_dual_slot_off_by_one(capsys, monkeypatch):
+    # nu = (1,)'s constant slot in the column (sigma = (2, 1), x^3) of Gr(2,4) off
+    # by L, one unit of C after the division: each of the 8 lawful pairs with
+    # nu = (1,) reads that column, so each moves by +-(A_lam A_mu)(x^sigma)'s count at x^3
+    def bumped(ctx, value):
+        packed, widths = value
+        phi = len(widths) // len(ctx.boxed)
+        packed = list(packed)
+        packed[3] += ctx.scale << (widths[0] * phi * ctx.boxed.index(BoxedPartition((1,), 4, 2)))
+        return packed, widths
+
+    patch_cached(monkeypatch, grassmannian.GrassContext, "_packed_duals", bumped)
+    monkeypatch.setattr(grassmannian, "grass_context", grassmannian.GrassContext)  # no memoised context
+    code, out, _ = run(capsys, "verify", "route-equivalence", "--n", "4", "--k", "2")
+    assert code == 1
+    assert out == (
+        "fusion route equivalence (n=4, k=2): 1054 checks, FAILED (8)\n"
+        "  first counterexample: GW routes at (),(1,),(1,),0\n"
+    )
+
+
+def test_gw_and_cyl_s_build_no_alternant_tables(capsys, monkeypatch):
+    # the alternant tables are built on first use, and only the alternant route uses them
+    built = []
+
+    def fresh(n, k):
+        built.append(grassmannian.GrassContext(n, k))
+        return built[-1]
+
+    monkeypatch.setattr(grassmannian, "grass_context", fresh)
+    assert run(capsys, "gw", "--n", "4", "--k", "2", "--dmax", "1")[0] == 0
+    assert run(capsys, "cyl", "s", "--n", "4", "--k", "2", "--lambda", "2,1", "--mu", "1", "--d", "1")[0] == 0
+    assert len(built) == 2
+    for ctx in built:
+        assert not {"alt", "denom_inv", "alt_counts", "scale", "_packed_duals"} & set(vars(ctx))
 
 
 def test_route_equivalence_fails_on_an_array_entry_off_by_one(capsys, monkeypatch):
@@ -518,6 +555,12 @@ def test_benchmark_verify_jobs_print_the_pinned_summaries(capsys):
     for suite, n, k in suites:
         code, out, _ = run(capsys, "verify", suite, "--n", str(n), "--k", str(k))
         assert (code, out) == (0, VERIFY_JOB_SUMMARIES[(suite, n, k)])
+
+
+def test_route_equivalence_summary_one_size_up(capsys):
+    # one size up from the benchmark's (4,2) and (3,3) jobs
+    code, out, _ = run(capsys, "verify", "route-equivalence", "--n", "5", "--k", "3")
+    assert (code, out) == (0, "fusion route equivalence (n=5, k=3): 43063 checks, ok\n")
 
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"

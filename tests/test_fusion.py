@@ -28,7 +28,7 @@ from cylsym.fusion import (
     s_matrix_inverse_check,
     symmetry_suite,
     t_unitarity_check,
-    verlinde_row,
+    verlinde_rows,
 )
 from cylsym.cli import _table_text
 from cylsym.cylindric import nonskew_from_array
@@ -174,8 +174,10 @@ def test_route_rows_equal_the_array(n, k):
     ctx = FusionContext(n, k)
     A, N = ctx.alcove, ctx.fusion
     for i, lam in enumerate(A):
+        rows = verlinde_rows(ctx, lam)
+        assert len(rows) == len(A)
         for j, mu in enumerate(A):
-            assert count_row(ctx, lam, mu) == verlinde_row(ctx, lam, mu) == N[i][j], (lam, mu)
+            assert count_row(ctx, lam, mu) == rows[j] == N[i][j], (lam, mu)
 
 
 def test_route_rows_equal_the_per_triple_routes_sampled():
@@ -185,31 +187,57 @@ def test_route_rows_equal_the_per_triple_routes_sampled():
     for _ in range(40):
         lam, mu = rng.choice(A), rng.choice(A)
         per_triple = [n_count(nu, lam, mu) for nu in A]
-        assert count_row(ctx, lam, mu) == per_triple == verlinde_row(ctx, lam, mu), (lam, mu)
+        verlinde = verlinde_rows(ctx, lam)[ctx.index[mu.parts]]
+        assert count_row(ctx, lam, mu) == per_triple == verlinde, (lam, mu)
         assert per_triple == [n_verlinde(ctx, lam, mu, nu) for nu in A]
 
 
 def test_verlinde_row_integrality_check_survives_optimize():
     # one packed dual slot off by one at the column (unit, x^0), where
-    # m_unit m_unit = x^0, and one unit of N (n^k k! = 18) in a nonconstant slot
+    # m_unit m_unit = x^0, and one unit of N (n^k k! = 18) in a nonconstant slot;
+    # every m_mu is constant at the unit, so every row of lam = unit reads it
     code = (
         "from cylsym.cyclotomic import NonIntegralError\n"
-        "from cylsym.fusion import FusionContext, verlinde_row\n"
+        "from cylsym.fusion import FusionContext, verlinde_rows\n"
         "if __debug__:\n"
         "    raise SystemExit('not running under -O')\n"
         "for slot, step in ((0, 1), (1, 18)):\n"
         "    ctx = FusionContext(3, 2)\n"
         "    unit = ctx.unit()\n"
-        "    if verlinde_row(ctx, unit, unit) != [int(nu == unit) for nu in ctx.alcove]:\n"
+        "    if verlinde_rows(ctx, unit) != [[int(nu == mu) for nu in ctx.alcove] for mu in ctx.alcove]:\n"
         "        raise SystemExit('the unit law fails')\n"
         "    packed, widths = ctx._packed_duals\n"
         "    packed[ctx.index[unit.parts] * ctx.n] += step << (widths[0] * slot)\n"
         "    try:\n"
-        "        verlinde_row(ctx, unit, unit)\n"
+        "        verlinde_rows(ctx, unit)\n"
         "    except NonIntegralError:\n"
         "        pass\n"
         "    else:\n"
-        "        raise SystemExit(f'verlinde_row returned a row with slot {slot} off by {step}')\n"
+        "        raise SystemExit(f'verlinde_rows returned a row with slot {slot} off by {step}')\n"
+    )
+    run_optimized(code)
+
+
+def test_count_row_remainder_check_survives_optimize():
+    # N_{(2,1),(2,1)}^{(3,3)} = 2 at (3,2): two pairs in the bin of (3,3), which
+    # has one rearrangement; read as three rearrangements they do not share evenly
+    code = (
+        "from cylsym.fusion import FusionContext, count_row\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "ctx = FusionContext(3, 2)\n"
+        "lam, nu = (ctx.alcove[ctx.index[p]] for p in ((2, 1), (3, 3)))\n"
+        "if count_row(ctx, lam, lam)[ctx.index[nu.parts]] != 2:\n"
+        "    raise SystemExit('N_{(2,1),(2,1)}^{(3,3)} is not 2')\n"
+        "power, keys, shares = ctx._residue_bins\n"
+        "shares[ctx.index[nu.parts]] = 3\n"
+        "try:\n"
+        "    count_row(ctx, lam, lam)\n"
+        "except ArithmeticError as exc:\n"
+        "    if str(exc) != '2 pairs at (3, 3) do not share evenly':\n"
+        "        raise SystemExit(f'count_row raised {exc}')\n"
+        "else:\n"
+        "    raise SystemExit('count_row returned a row')\n"
     )
     run_optimized(code)
 

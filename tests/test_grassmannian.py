@@ -20,6 +20,7 @@ from cylsym.grassmannian import (
     cyl_schur_to_schur,
     grass_context,
     gw_bvi,
+    gw_bvi_rows,
     gw_ribbon,
     gw_symmetry_suite,
     gw_table,
@@ -121,6 +122,57 @@ def test_dual_route(n, k, dmax):
                 a = gw_bvi(ctx, lam, mu, nu, d)
                 b = gw_ribbon(ctx, lam, mu, nu, d)
                 assert a == b >= 0, (lam.parts, mu.parts, nu.parts, d)
+
+
+def test_packed_gw_rows_equal_the_alternant_sum_per_triple():
+    # every lawful triple with d <= 1 of every Gr(k, n) with n <= 6
+    for n in range(2, 7):
+        for k in range(1, n):
+            ctx = grass_context(n, k)
+            rows = gw_bvi_rows(ctx, 1)
+            assert [row[:3] for row in rows] == list(lawful_rows(ctx.boxed, n, 1)), (n, k)
+            for lam, mu, row, values in rows:
+                expect = [gw_bvi(ctx, lam, mu, nu, d) for nu, d in row]
+                assert values == expect, (n, k, lam.parts, mu.parts)
+    # and 40 seeded pairs of Gr(3,7)
+    ctx = grass_context(7, 3)
+    rows = {(lam, mu): (row, values) for lam, mu, row, values in gw_bvi_rows(ctx, 1)}
+    rng = random.Random("gw rows 7,3")
+    for _ in range(40):
+        lam, mu = rng.choice(ctx.boxed), rng.choice(ctx.boxed)
+        row, values = rows[(lam, mu)]
+        assert values == [gw_bvi(ctx, lam, mu, nu, d) for nu, d in row], (lam.parts, mu.parts)
+
+
+def test_gw_rows_integrality_check_survives_optimize():
+    # nu = (1,)'s slots in the column (sigma = (2, 1), x^3) of Gr(2,4), which the
+    # pair ((), (1,)) reads: the constant slot off by 1, not a multiple of
+    # L = 32, and the slot of zeta off by L, a nonconstant residue
+    code = (
+        "from cylsym.cyclotomic import NonIntegralError\n"
+        "from cylsym.grassmannian import GrassContext, gw_bvi_rows\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "for slot, unit in ((0, False), (1, True)):\n"
+        "    ctx = GrassContext(4, 2)\n"
+        "    for lam, mu, row, values in gw_bvi_rows(ctx, 1):\n"
+        "        if not lam.parts and values != [int(mu == nu) for nu, _ in row]:\n"
+        "            raise SystemExit('the delta rows fail')\n"
+        "    packed, widths = ctx._packed_duals\n"
+        "    packed[3] += (ctx.scale if unit else 1) << (widths[0] * (2 + slot))\n"
+        "    try:\n"
+        "        gw_bvi_rows(ctx, 1)\n"
+        "    except NonIntegralError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(f'gw_bvi_rows returned rows with slot {slot} off')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cylsym.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gw_symmetries_and_level_rank():
